@@ -308,9 +308,8 @@ func BenchmarkSolverIncremental(b *testing.B) {
 }
 
 // BenchmarkFlowSharded streams bulk fluid flows over the domain-sharded
-// fabric (scoped per-domain engines plus the epoch-folded boundary
-// solver) at worker budgets 1 and 4; results are identical, only
-// wall-clock differs.
+// fabric (all on the control-side engine, between epochs) at worker
+// budgets 1 and 4; results are identical, only wall-clock differs.
 func BenchmarkFlowSharded(b *testing.B) {
 	b.Run("d1", bench.FlowSharded(1))
 	b.Run("d4", bench.FlowSharded(4))

@@ -359,12 +359,11 @@ func SolverIncremental(forceFull bool) func(b *testing.B) {
 const FlowShardedBytes = 4 << 20
 
 // FlowSharded streams bulk fluid flows over the domain-sharded fabric:
-// two intra-group flows per group run on that domain's scoped engine
-// inside the parallel run phase, and one cross-group flow per group runs
-// on the control-side boundary engine, coupled at epoch barriers. One
-// iteration is one delivered flow; d1 vs d4 shows what the worker budget
-// buys on a fluid-dominated workload (the decomposition — and the
-// result — is identical for both).
+// two intra-group flows and one cross-group flow per group, all on the
+// control-side fluid engine, which runs between epochs. One iteration is
+// one delivered flow; d1 vs d4 shows what the worker budget buys on a
+// fluid-dominated workload (the decomposition — and the result — is
+// identical for both).
 func FlowSharded(domains int) func(b *testing.B) {
 	return func(b *testing.B) {
 		topo := topology.MustNew(topology.Config{

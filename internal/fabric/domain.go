@@ -3,7 +3,6 @@ package fabric
 import (
 	"sort"
 
-	"repro/internal/flow"
 	"repro/internal/sim"
 	"repro/internal/sim/par"
 	"repro/internal/topology"
@@ -73,18 +72,12 @@ type domain struct {
 	// switches are the domain's own switches, for the per-epoch load
 	// snapshot refresh.
 	switches []*Switch
-	// Sharded fluid fidelity (fluid_sharded.go): the domain's scoped flow
-	// engine, its pending-tick guard, and the fluid completion count the
-	// barrier folds into Network.flowsCompleted.
-	flowEng        *flow.Engine
-	flowTicker     *domFlowTicker
-	flowTickAt     sim.Time
-	flowsCompleted int64
 }
 
 // post schedules (h, arg, data) at absolute time at on the component
 // domain dst: straight onto the engine when dst is this domain (always,
 // in classic mode), through the epoch mailboxes otherwise.
+//
 //simlint:hotpath
 func (d *domain) post(dst *domain, at sim.Time, h sim.Handler, arg int64, data any) {
 	if dst == d {
@@ -96,6 +89,7 @@ func (d *domain) post(dst *domain, at sim.Time, h sim.Handler, arg int64, data a
 
 // allocPacket returns a zeroed packet from the domain free-list (or a
 // fresh one).
+//
 //simlint:hotpath
 func (d *domain) allocPacket() *Packet {
 	if k := len(d.pktFree); k > 0 {
@@ -112,6 +106,7 @@ func (d *domain) allocPacket() *Packet {
 // retain the packet). The struct is zeroed here, not at alloc, so idle
 // free-list entries do not pin their last Message (and its completion
 // closures) or Path.
+//
 //simlint:hotpath
 func (d *domain) freePacket(p *Packet) {
 	*p = Packet{}
@@ -128,6 +123,7 @@ type deferredCall struct {
 }
 
 // deferCall queues a completion callback for the epoch barrier.
+//
 //simlint:hotpath
 func (d *domain) deferCall(at sim.Time, fn func(at sim.Time)) {
 	d.defr = append(d.defr, deferredCall{at: at, fn: fn}) //simlint:allocok -- amortized growth; the flush keeps capacity
@@ -135,6 +131,7 @@ func (d *domain) deferCall(at sim.Time, fn func(at sim.Time)) {
 
 // deferTap queues a delivery-tap invocation for the epoch barrier. The
 // packet is copied: the original recycles onto the free-list immediately.
+//
 //simlint:hotpath
 func (d *domain) deferTap(at sim.Time, p *Packet) {
 	d.defr = append(d.defr, deferredCall{at: at, pkt: *p}) //simlint:allocok -- amortized growth; the flush keeps capacity
@@ -145,6 +142,7 @@ func (d *domain) deferTap(at sim.Time, p *Packet) {
 // live (exact, as in classic mode), remote switches read the epoch-start
 // snapshot — the sharded analogue of §II-C's stale remote congestion
 // estimates arriving via piggyback channels.
+//
 //simlint:hotpath
 func (d *domain) QueuedTo(a, b topology.SwitchID) int64 {
 	n := d.net
@@ -165,6 +163,7 @@ func (d *domain) QueuedTo(a, b topology.SwitchID) int64 {
 
 // liveQueuedTo is the exact queued-byte figure: the least-loaded
 // parallel egress port from sw towards adjacent switch b.
+//
 //simlint:hotpath
 func liveQueuedTo(sw *Switch, b topology.SwitchID) int64 {
 	ports := sw.portsTo(b)
@@ -182,6 +181,7 @@ func liveQueuedTo(sw *Switch, b topology.SwitchID) int64 {
 // only its own rows; the barrier publishes them), so within an epoch
 // every remote load estimate is a consistent, worker-count-independent
 // photograph.
+//
 //simlint:hotpath
 func (d *domain) refreshSnapshot() {
 	n := d.net
@@ -215,8 +215,6 @@ func (n *Network) foldCounters() {
 	for _, d := range n.doms {
 		n.Counters.add(&d.counters)
 		d.counters = Counters{}
-		n.flowsCompleted += d.flowsCompleted
-		d.flowsCompleted = 0
 	}
 }
 
@@ -261,7 +259,6 @@ func (n *Network) flushDeferred() {
 // computation and produce byte-identical output.
 func (n *Network) initDomains(workers int) {
 	part := n.Topo.Partition(0)
-	n.part = part
 	k := part.Domains
 	n.doms = make([]*domain, k)
 	shards := make([]*par.Shard, k)
@@ -315,15 +312,10 @@ func (n *Network) initDomains(workers int) {
 func (n *Network) OnShard(s *par.Shard) { n.doms[s.ID].refreshSnapshot() }
 
 // OnEpoch implements par.Hooks: on quiesced, sequential state, fold the
-// per-domain counters into the embedded block, fold the fluid rate
-// exchange (before the deferred flush: a completion fired by the barrier
-// advance must flush this epoch — the run may have no next one), then
-// flush the deferred completion callbacks in canonical order.
+// per-domain counters into the embedded block, then flush the deferred
+// completion callbacks in canonical order.
 func (n *Network) OnEpoch(limit sim.Time) {
 	n.foldCounters()
-	if n.flowSet != nil {
-		n.fluidExchange(limit)
-	}
 	n.flushDeferred()
 }
 

@@ -93,10 +93,7 @@ const (
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fid = f
 	if f == FidelityPacket {
-		n.flowEng, n.flowSet = nil, nil
-		for _, d := range n.doms {
-			d.flowEng, d.flowTicker = nil, nil
-		}
+		n.flowEng = nil
 		n.flowBG, n.flowBGEdge, n.bgOff = nil, nil, nil
 		return
 	}
@@ -109,12 +106,6 @@ func (n *Network) SetFidelity(f Fidelity) {
 	}
 	n.flowEng = flow.NewEngine(n.Topo, caps)
 	n.flowEng.Hooks = (*flowHooks)(n)
-	n.flowTickAt = sim.Forever
-	if n.par != nil {
-		// Sharded fabric: n.flowEng becomes the boundary engine and every
-		// domain gets a scoped engine of its own (fluid_sharded.go).
-		n.initShardedFluid(caps)
-	}
 
 	// Background-load tables, one slot per (switch, dense neighbor index)
 	// — the same layout as the sharded epoch snapshot — plus one per node
@@ -172,14 +163,8 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 		return false
 	}
 	// Incast hotspot: once hybridFanIn fluid flows already converge on
-	// dst, further transfers contend in queues — packet territory. Sharded
-	// fluid counts both layers: the scoped engines share one fan-in table,
-	// boundary flows live on n.flowEng.
-	fanIn := n.flowEng.ActiveTo(dst)
-	if n.flowSet != nil {
-		fanIn += int(n.flowSet.ActiveTo(dst))
-	}
-	if fanIn >= hybridFanIn {
+	// dst, further transfers contend in queues — packet territory.
+	if n.flowEng.ActiveTo(dst) >= hybridFanIn {
 		return false
 	}
 	// A pair the congestion controller is actively throttling is by
@@ -199,22 +184,17 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 func (n *Network) sendFlow(m *Message) *Message {
 	lat, ack, extra := n.flowTimes(m)
 	n.flowsStarted++
-	eng, d := n.flowEngineFor(m.Src, m.Dst)
 	// Bring the engine's fluid clock to the present before admitting the
 	// flow, so the lazy solve folds in exactly at the submit time instead
 	// of smearing the new flow's rate back to the last tick.
-	eng.Advance(n.Eng.Now())
-	eng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{
+	n.flowEng.Advance(n.Eng.Now())
+	n.flowEng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{
 		ExtraBytes:   extra,
 		ExtraLatency: lat,
 		AckLatency:   ack,
 		Arg:          m,
 	})
-	if d != nil {
-		d.scheduleFlowWake()
-	} else {
-		n.scheduleFlowWake()
-	}
+	n.scheduleFlowWake()
 	return m
 }
 
@@ -301,8 +281,7 @@ func (h *flowHooks) FlowAcked(at sim.Time, arg any) {
 		m.OnAcked(at)
 	}
 	// The ack is the message's final event: an opted-in handle returns to
-	// the Send free-list here (control side only — the sharded domain
-	// hooks never recycle, their messages outlive the shard epoch).
+	// the Send free-list here.
 	if m.recycle {
 		(*Network)(h).freeMsg(m)
 	}
@@ -321,7 +300,7 @@ type flowTicker Network
 //simlint:hotpath
 func (t *flowTicker) OnEvent(e *sim.Engine, ev *sim.Event) {
 	n := (*Network)(t)
-	n.flowTickAt = sim.Forever
+	n.flowTickEv = nil
 	n.flowTick()
 }
 
@@ -338,9 +317,11 @@ func (n *Network) flowTick() {
 	n.scheduleFlowWake()
 }
 
-// scheduleFlowWake keeps exactly one leading tick pending: the earliest
-// of the engine's next completion/callback and — in hybrid mode — the
-// periodic background refresh. Later stale events fire as cheap no-ops.
+// scheduleFlowWake keeps exactly one tick pending: the earliest of the
+// engine's next completion/callback and — in hybrid mode — the periodic
+// background refresh. A later pending tick is cancelled, not left to
+// fire: a fired tick re-arms, so every superseded tick would otherwise
+// grow a self-sustaining chain of its own (the NIC.schedulePump idiom).
 // At FidelityFlow there is no packet path left to feed, so the engine
 // wakes only at flow completions: background publication (and its 1 us
 // cadence) is pure overhead there and is skipped, which is most of what
@@ -354,10 +335,17 @@ func (n *Network) scheduleFlowWake() {
 			next = t
 		}
 	}
-	if next < n.flowTickAt {
-		n.flowTickAt = next
-		n.Eng.Schedule(next, (*flowTicker)(n), 0, nil)
+	// Invariant: flowTickEv is nil or a live queued event (the tick nils
+	// it first thing; the cancel below reassigns immediately).
+	if ev := n.flowTickEv; ev != nil {
+		if ev.At <= next {
+			return
+		}
+		n.Eng.Cancel(ev)
+	} else if next == sim.Forever {
+		return
 	}
+	n.flowTickEv = n.Eng.Schedule(next, (*flowTicker)(n), 0, nil)
 }
 
 // publishFlowBG converts the solver's per-segment allocated rates into
@@ -379,22 +367,11 @@ func (n *Network) publishFlowBG() {
 		base := n.bgOff[s]
 		for i := 0; i < topo.NeighborCount(topology.SwitchID(s)); i++ {
 			rate, cap := n.flowEng.SegmentRate(topology.SwitchID(s), i)
-			if n.flowSet != nil {
-				// A segment carries boundary flows (n.flowEng) plus the
-				// owning domain's intra-domain flows; capacities agree.
-				r, _ := n.switches[s].dom.flowEng.SegmentRate(topology.SwitchID(s), i)
-				rate += r
-			}
 			n.flowBG[base+int32(i)] = bgQueueEquivalent(rate, cap)
 		}
 	}
 	for node := range n.flowBGEdge {
 		rate, cap := n.flowEng.EdgeDownRate(topology.NodeID(node))
-		if n.flowSet != nil {
-			sw := topo.SwitchOf(topology.NodeID(node))
-			r, _ := n.switches[sw].dom.flowEng.EdgeDownRate(topology.NodeID(node))
-			rate += r
-		}
 		n.flowBGEdge[node] = bgQueueEquivalent(rate, cap)
 	}
 }

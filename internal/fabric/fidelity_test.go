@@ -172,11 +172,12 @@ func TestHybridDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestShardedFlowDeterministicAcrossWorkers(t *testing.T) {
-	// Flow fidelity on a sharded fabric: intra-group transfers run on the
-	// per-domain scoped engines inside the parallel run phase, cross-group
-	// ones on the control-side boundary engine, coupled at epoch barriers.
-	// Any worker budget must replay byte-identically (and -race runs of
-	// this test sweep the scoped engines' shard-time concurrency).
+	// Flow fidelity on a sharded fabric: every fluid flow, intra-group or
+	// cross-group, runs on the one control-side engine, which advances
+	// only between epochs. Any worker budget must replay byte-identically,
+	// and so must the classic engine (domains 0): with no packet traffic
+	// the shards stay idle and the control engine sees the classic
+	// timeline. -race runs of this test sweep the epoch phases around it.
 	run := func(domains int) string {
 		topo := topology.MustNew(topology.Config{
 			Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 2,
@@ -191,8 +192,8 @@ func TestShardedFlowDeterministicAcrossWorkers(t *testing.T) {
 			// Intra-group: node i*16 and i*16+5 sit in group i.
 			n.Send(topology.NodeID(i*16), topology.NodeID(i*16+5), 4<<20,
 				SendOpts{OnDelivered: record(fmt.Sprintf("loc%d", i))})
-			// Cross-group into a common hotspot: boundary flows that share
-			// edge segments with the local ones above.
+			// Cross-group into a common hotspot, sharing edge segments
+			// with the intra-group flows above.
 			n.Send(topology.NodeID(2+i*16), 63, 2<<20,
 				SendOpts{OnDelivered: record(fmt.Sprintf("x%d", i))})
 		}
@@ -203,12 +204,57 @@ func TestShardedFlowDeterministicAcrossWorkers(t *testing.T) {
 		return log
 	}
 	want := run(1)
-	for _, d := range []int{2, 4, 8} {
+	for _, d := range []int{0, 2, 4, 8} {
 		if got := run(d); got != want {
 			t.Fatalf("flow replay diverged at domains=%d:\n%s\nvs\n%s", d, got, want)
 		}
 	}
 	if want == "" {
 		t.Fatal("no completions recorded")
+	}
+}
+
+// TestFlowWakeNoLeak bounds the control engine's event count when fluid
+// Sends come from control events other than the fluid tick (MPI
+// schedules, harness probes). Each such Send may pull the pending tick
+// earlier; the superseded tick must be cancelled, not left to fire and
+// re-arm a tick chain of its own, or the event count grows with every
+// Send instead of with the flows' completions.
+func TestFlowWakeNoLeak(t *testing.T) {
+	const (
+		flows = 400
+		gap   = 40 * sim.Microsecond
+	)
+	for _, f := range []Fidelity{FidelityFlow, FidelityHybrid} {
+		t.Run(f.String(), func(t *testing.T) {
+			topo := topology.MustNew(topology.Config{
+				Groups: 2, SwitchesPerGroup: 2, NodesPerSwitch: 8, GlobalPerPair: 2,
+			})
+			n := New(topo, noJitter(SlingshotProfile()), 1)
+			n.SetFidelity(f)
+			nodes := topo.Nodes()
+			for i := 0; i < flows; i++ {
+				src := topology.NodeID(i % nodes)
+				dst := topology.NodeID((i + nodes/2 + 1) % nodes)
+				n.Eng.ScheduleFunc(sim.Time(i)*gap, func() {
+					n.Send(src, dst, 1<<20, SendOpts{Bulk: true})
+				})
+			}
+			n.Run()
+			if got := n.FlowsCompleted(); got != flows {
+				t.Fatalf("completed %d fluid flows, want %d", got, flows)
+			}
+			steps := n.Eng.Steps()
+			limit := int64(10 * flows)
+			if f == FidelityHybrid {
+				// Background publication ticks every flowBGInterval
+				// while flows are active.
+				limit = 2 * int64(n.Now()/sim.Microsecond)
+			}
+			t.Logf("%d events over %v", steps, n.Now())
+			if steps > limit {
+				t.Fatalf("%d control events for %d flows over %v, want <= %d", steps, flows, n.Now(), limit)
+			}
+		})
 	}
 }

@@ -74,22 +74,18 @@ type Network struct {
 	snapOff []int32
 	defrBuf defrMerge
 
-	// part is the topology's natural partition (initDomains); zero-valued
-	// in classic mode.
-	part topology.Partition
-
 	// Fidelity state (see fidelity.go). flowEng is nil at the packet
-	// default; the background tables mirror the snap/snapOff layout and
-	// are written only at epoch barriers (control engine). In sharded
-	// fluid mode flowEng is the control-side boundary engine and flowSet
-	// carries one scoped engine per domain (fluid_sharded.go).
+	// default and carries every fluid flow otherwise, driven from the
+	// control engine; flowTickEv is its one pending tick (nil when idle).
+	// The background tables mirror the snap/snapOff layout and are written
+	// only at epoch barriers (control engine).
 	fid        Fidelity
 	flowEng    *flow.Engine
-	flowSet    *flow.ShardSet
-	flowTickAt sim.Time
+	flowTickEv *sim.Event
 	flowBG     []int64
 	flowBGEdge []int64
 	bgOff      []int32
+	// flowsStarted/flowsCompleted count fluid admissions and completions.
 	flowsStarted, flowsCompleted int64
 	// msgFree recycles opted-in (SendOpts.Recycle) Message structs so
 	// steady-state fluid Send/complete churn is allocation-free.
@@ -286,8 +282,8 @@ type SendOpts struct {
 	// Recycle promises the caller will not retain the returned *Message
 	// past its final callback: the fabric may then return the struct to
 	// an internal free-list, making steady-state Send churn
-	// allocation-free. Honoured on the control-side fluid path (classic
-	// flow/hybrid and sharded boundary flows); other paths ignore it.
+	// allocation-free. Honoured on every fluid transfer; the packet path
+	// ignores it.
 	Recycle bool
 }
 
@@ -377,6 +373,7 @@ func (n *Network) ChoosePath(src, dst topology.NodeID, flowID int64, class int) 
 }
 
 // route dispatches one routing decision through the configured policy.
+//
 //simlint:hotpath
 func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int64, class int) topology.Path {
 	src := s.ID

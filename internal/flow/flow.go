@@ -27,13 +27,13 @@
 // calibration tests in internal/harness bound the resulting error
 // against the packet engine on golden-scale scenarios.
 //
-// Determinism: the engine is driven from a single goroutine (fabric's
-// control engine, or exactly one shard domain when sharded), every
-// iteration order is slice order or canonical id order, path choice is
-// deterministic given the active flow set, and completion callbacks fire
-// in (time, enqueue-sequence) order from a binary heap. The minimal-path
-// cache is a map but is only ever keyed, never iterated. No RNG, no wall
-// clock.
+// Determinism: the engine is driven only from fabric's control engine (a
+// single goroutine, which on a sharded fabric runs only between epochs),
+// every iteration order is slice order or canonical id order, path
+// choice is deterministic given the active flow set, and completion
+// callbacks fire in (time, enqueue-sequence) order from a binary heap.
+// The minimal-path cache is a map but is only ever keyed, never iterated.
+// No RNG, no wall clock.
 //
 // Steady-state epochs are alloc-free after warm-up: flow records are
 // free-listed, per-segment scratch (residual capacity, unfixed counts,
@@ -125,29 +125,18 @@ type pendingCB struct {
 // parallel links between a switch pair pool into one segment, matching
 // the packet engine's round-robin port spreading — plus one per node for
 // each edge-link direction.
-//
-// A full engine (NewEngine) covers the whole topology; a scoped engine
-// (NewShardedEngines) covers one partition domain with a compact local
-// segment space, addressed through shared global->local tables. Callers
-// of a scoped engine must only name switches and nodes the scope owns.
 type Engine struct {
 	topo  topology.Topology
 	Hooks Hooks
 
-	// Segment address tables, fixed at construction. swBase maps a global
-	// switch to its fabric-segment base in THIS engine's index space (its
-	// dense neighbor index is the offset); nodeUp/nodeDn map a global node
-	// to its edge segments. For a full engine these cover every
-	// switch/node; for a scoped engine foreign entries belong to another
-	// engine's space and must never be dereferenced here.
+	// Segment layout, fixed at construction: switch s's fabric segments
+	// start at swBase[s] (its dense neighbor index is the offset), then
+	// come every node's edge-up segment from edgeUp and every node's
+	// edge-down segment from edgeDn, both indexed by node id.
 	segCap []float64 // effective bits/s per segment
 	swBase []int32
-	nodeUp []int32
-	nodeDn []int32
-	nSeg   int
-	// gid translates a local segment to its global segment id for the
-	// sharded boundary exchange; nil for full engines (identity).
-	gid []int32
+	edgeUp int32
+	edgeDn int32
 
 	maxPaths int
 	// paths caches minimal-path candidates keyed by (src switch << 32 |
@@ -165,9 +154,8 @@ type Engine struct {
 	activeTo []int32       // active bulk flows per destination node
 	memb     [][]membEntry // active flows on each segment (component BFS)
 
-	// Dirty-seed tracking: segments touched by flow starts/finishes (and
-	// external-rate changes) since the last solve, deduplicated by a
-	// generation mark.
+	// Dirty-seed tracking: segments touched by flow starts/finishes since
+	// the last solve, deduplicated by a generation mark.
 	dirty     bool
 	dirtySegs []int32
 	dirtyMark []int32
@@ -194,16 +182,6 @@ type Engine struct {
 	rated    []int32   // segments possibly carrying nonzero segRate
 	inRated  []bool    // rated-membership dedup
 
-	// ext is per-segment capacity consumed by flows living in a foreign
-	// engine (the sharded boundary exchange); nil until SetExtRate.
-	ext []float64
-
-	// Changed-segment tracking for the epoch exchange; nil until
-	// EnableChangeTracking.
-	changed []int32
-	chMark  []int32
-	chGen   int32
-
 	now        sim.Time
 	progressed float64 // whole+fractional bytes advanced since TakeProgress
 
@@ -226,27 +204,34 @@ func (o *byID) Swap(i, j int)      { o.f[i], o.f[j] = o.f[j], o.f[i] }
 // segment at twice GlobalBits, which is how the packet engine's
 // round-robin over parallel ports behaves in aggregate.
 func NewEngine(topo topology.Topology, caps Caps) *Engine {
+	e := &Engine{topo: topo, maxPaths: caps.MaxPaths, dirtyGen: 1}
+	if e.maxPaths <= 0 {
+		e.maxPaths = 4
+	}
+	e.paths = make(map[int64][]topology.Path)
 	sw, nodes := topo.Switches(), topo.Nodes()
-	e := newEngineShell(topo, caps.MaxPaths)
 	e.swBase = make([]int32, sw)
 	base := int32(0)
 	for s := 0; s < sw; s++ {
 		e.swBase[s] = base
 		base += int32(topo.NeighborCount(topology.SwitchID(s)))
 	}
-	fabricSegs := base
-	e.nodeUp = make([]int32, nodes)
-	e.nodeDn = make([]int32, nodes)
-	for n := 0; n < nodes; n++ {
-		e.nodeUp[n] = fabricSegs + int32(n)
-		e.nodeDn[n] = fabricSegs + int32(nodes) + int32(n)
-	}
-	e.initSegs(int(fabricSegs) + 2*nodes)
+	e.edgeUp = base
+	e.edgeDn = base + int32(nodes)
+	nSeg := int(base) + 2*nodes
+	e.segCap = make([]float64, nSeg)
+	e.segFlows = make([]int32, nSeg)
+	e.segStamp = make([]int32, nSeg)
+	e.segSlot = make([]int32, nSeg)
+	e.segRate = make([]float64, nSeg)
+	e.inRated = make([]bool, nSeg)
+	e.dirtyMark = make([]int32, nSeg)
+	e.memb = make([][]membEntry, nSeg)
 	for _, lk := range topo.Links() {
 		switch lk.Kind {
 		case topology.EdgeLink:
-			e.segCap[e.nodeUp[lk.Node]] = caps.EdgeBits
-			e.segCap[e.nodeDn[lk.Node]] = caps.EdgeBits
+			e.segCap[e.edgeUp+int32(lk.Node)] = caps.EdgeBits
+			e.segCap[e.edgeDn+int32(lk.Node)] = caps.EdgeBits
 		case topology.LocalLink, topology.GlobalLink:
 			bits := caps.LocalBits
 			if lk.Kind == topology.GlobalLink {
@@ -260,38 +245,11 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 	return e
 }
 
-// newEngineShell builds the topology-independent part of an Engine.
-func newEngineShell(topo topology.Topology, maxPaths int) *Engine {
-	e := &Engine{topo: topo, maxPaths: maxPaths, dirtyGen: 1, chGen: 1}
-	if e.maxPaths <= 0 {
-		e.maxPaths = 4
-	}
-	e.paths = make(map[int64][]topology.Path)
-	return e
-}
-
-// initSegs sizes every per-segment table for n segments.
-func (e *Engine) initSegs(n int) {
-	e.nSeg = n
-	e.segCap = make([]float64, n)
-	e.segFlows = make([]int32, n)
-	e.segStamp = make([]int32, n)
-	e.segSlot = make([]int32, n)
-	e.segRate = make([]float64, n)
-	e.inRated = make([]bool, n)
-	e.dirtyMark = make([]int32, n)
-	e.memb = make([][]membEntry, n)
-}
-
 // Now returns the engine's fluid clock (the last Advance target).
 func (e *Engine) Now() sim.Time { return e.now }
 
 // Active returns the number of in-flight flows.
 func (e *Engine) Active() int { return len(e.active) }
-
-// NSegs returns the engine's segment count (local space for scoped
-// engines).
-func (e *Engine) NSegs() int { return e.nSeg }
 
 // ActiveTo returns the number of in-flight flows destined to node n —
 // the hybrid classifier's incast fan-in signal.
@@ -309,8 +267,7 @@ func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 // SegmentRate returns the solver-allocated bits/s on the fabric segment
 // from switch s towards its nbIdx-th neighbor, and the segment's
 // capacity. Valid after the last Advance/Start (the solver runs lazily;
-// call Resolve first if rates must be fresh). Scoped engines accept only
-// switches their scope owns.
+// call Resolve first if rates must be fresh).
 func (e *Engine) SegmentRate(s topology.SwitchID, nbIdx int) (rate, cap float64) {
 	i := e.swBase[s] + int32(nbIdx)
 	return e.segRate[i], e.segCap[i]
@@ -319,76 +276,15 @@ func (e *Engine) SegmentRate(s topology.SwitchID, nbIdx int) (rate, cap float64)
 // EdgeDownRate returns allocated bits/s and capacity on the switch->node
 // edge segment of n.
 func (e *Engine) EdgeDownRate(n topology.NodeID) (rate, cap float64) {
-	i := e.nodeDn[n]
+	i := e.edgeDn + int32(n)
 	return e.segRate[i], e.segCap[i]
 }
 
 // EdgeUpRate returns allocated bits/s and capacity on the node->switch
 // edge segment of n.
 func (e *Engine) EdgeUpRate(n topology.NodeID) (rate, cap float64) {
-	i := e.nodeUp[n]
+	i := e.edgeUp + int32(n)
 	return e.segRate[i], e.segCap[i]
-}
-
-// SegRateAt returns the allocated bits/s on segment s of this engine's
-// own index space (the exchange path reads rates by Changed() index).
-func (e *Engine) SegRateAt(s int32) float64 { return e.segRate[s] }
-
-// GlobalSeg translates one of this engine's segment indices to the
-// global (full-engine) segment id: identity for full engines.
-func (e *Engine) GlobalSeg(s int32) int32 {
-	if e.gid == nil {
-		return s
-	}
-	return e.gid[s]
-}
-
-// SetExtRate declares that flows solved in a foreign engine consume r
-// bits/s of segment s (this engine's index space), derating its
-// effective capacity for the local solver. The segment joins the dirty
-// seeds; callers must have Advanced this engine to the change's event
-// time first, then Resolve.
-func (e *Engine) SetExtRate(s int32, r float64) {
-	if e.ext == nil {
-		if r == 0 {
-			return
-		}
-		e.ext = make([]float64, e.nSeg)
-	}
-	if e.ext[s] == r {
-		return
-	}
-	e.ext[s] = r
-	e.markDirty(s)
-}
-
-// EnableChangeTracking turns on the changed-segment journal consumed by
-// the sharded epoch exchange (Changed / ResetChanged).
-func (e *Engine) EnableChangeTracking() {
-	if e.chMark == nil {
-		e.chMark = make([]int32, e.nSeg)
-	}
-}
-
-// Changed lists the segments whose allocated rate may have changed since
-// the last ResetChanged (deduplicated, unordered beyond solve order).
-func (e *Engine) Changed() []int32 { return e.changed }
-
-// ResetChanged clears the changed-segment journal.
-func (e *Engine) ResetChanged() {
-	e.changed = e.changed[:0]
-	e.chGen++
-}
-
-// markChanged journals a segment whose rate the current solve may alter.
-//
-//simlint:hotpath
-func (e *Engine) markChanged(s int32) {
-	if e.chMark == nil || e.chMark[s] == e.chGen {
-		return
-	}
-	e.chMark[s] = e.chGen
-	e.changed = append(e.changed, s)
 }
 
 // markDirty seeds the next solve's affected-component expansion with s.
@@ -414,9 +310,9 @@ func (e *Engine) TakeProgress() int64 {
 }
 
 // Resolve runs the fair-share solver if the active set changed since the
-// last solve. Exposed so background-load publication and the epoch
-// exchange can snapshot fresh rates without advancing time; the engine
-// must already stand at the set change's event time.
+// last solve. Exposed so background-load publication can snapshot fresh
+// rates without advancing time; the engine must already stand at the set
+// change's event time.
 func (e *Engine) Resolve() {
 	if e.dirty {
 		e.solve()
@@ -469,7 +365,7 @@ func (e *Engine) alloc() *Flow {
 func (e *Engine) buildSegs(f *Flow) {
 	f.segs = f.segs[:0]
 	f.segPos = f.segPos[:0]
-	f.segs = append(f.segs, e.nodeUp[f.src])
+	f.segs = append(f.segs, e.edgeUp+int32(f.src))
 	a, b := e.topo.SwitchOf(f.src), e.topo.SwitchOf(f.dst)
 	if a != b {
 		p := e.choosePath(a, b)
@@ -478,7 +374,7 @@ func (e *Engine) buildSegs(f *Flow) {
 			f.segs = append(f.segs, e.swBase[p[i]]+int32(nb))
 		}
 	}
-	f.segs = append(f.segs, e.nodeDn[f.dst])
+	f.segs = append(f.segs, e.edgeDn+int32(f.dst))
 }
 
 // choosePath picks among the cached minimal candidates by current flow
@@ -520,8 +416,8 @@ func (e *Engine) candidates(a, b topology.SwitchID) []topology.Path {
 }
 
 // Candidates exposes the cached minimal candidates for src->dst switches
-// (the fabric's fluid latency model and domain classifier reuse this
-// cache instead of growing their own dense rows).
+// (the fabric's fluid latency model reuses this cache instead of growing
+// its own dense rows).
 func (e *Engine) Candidates(a, b topology.SwitchID) []topology.Path {
 	return e.candidates(a, b)
 }

@@ -38,7 +38,6 @@ func (e *Engine) solveFull() {
 	for _, s := range e.rated {
 		e.segRate[s] = 0
 		e.inRated[s] = false
-		e.markChanged(s)
 	}
 	e.rated = e.rated[:0]
 	e.order = append(e.order[:0], e.active...)
@@ -90,7 +89,6 @@ func (e *Engine) solveIncremental() {
 	// component flows' contributions.
 	for _, s := range e.comp {
 		e.segRate[s] = 0
-		e.markChanged(s)
 	}
 	e.sortOrder()
 	e.fill()
@@ -141,14 +139,7 @@ func (e *Engine) fill() {
 	e.csrStart = grow32(e.csrStart, ns+1)
 	e.csrPos = grow32(e.csrPos, ns)
 	for i, s := range e.touched {
-		c := e.segCap[s]
-		if e.ext != nil {
-			c -= e.ext[s]
-			if c < 0 {
-				c = 0
-			}
-		}
-		e.resid[i] = c
+		e.resid[i] = e.segCap[s]
 		e.unfixed[i] = 0
 	}
 	for _, f := range e.order {
@@ -208,8 +199,7 @@ func (e *Engine) fill() {
 		}
 	}
 
-	// Export per-segment allocated rates for background-load publication
-	// and the epoch exchange.
+	// Export per-segment allocated rates for background-load publication.
 	for _, f := range e.order {
 		for _, s := range f.segs {
 			if !e.inRated[s] {
@@ -217,7 +207,6 @@ func (e *Engine) fill() {
 				e.rated = append(e.rated, s)
 			}
 			e.segRate[s] += f.rate
-			e.markChanged(s)
 		}
 	}
 }
@@ -270,10 +259,9 @@ func (e *Engine) NextWake() sim.Time {
 //
 // A pending set change (dirty) folds in at the engine's current clock:
 // callers that care about exact start times (the fabric does) Advance to
-// their present before Start/SetExtRate, so the new solution takes over
-// at its event time instead of smearing back to the last tick. On a
-// quiet call with nothing due the early-out returns without scanning or
-// solving.
+// their present before Start, so the new solution takes over at its
+// event time instead of smearing back to the last tick. On a quiet call
+// with nothing due the early-out returns without scanning or solving.
 //
 //simlint:hotpath
 func (e *Engine) Advance(to sim.Time) {

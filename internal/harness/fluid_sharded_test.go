@@ -8,14 +8,14 @@ import (
 	"repro/internal/results"
 )
 
-// TestShardedFluidDeterminism extends the PR 8 sharded-determinism rule to
-// the fluid fidelities: with per-domain scoped flow engines advancing
-// inside the parallel run phase and the boundary solver folding at epoch
-// barriers, experiment JSON must stay byte-identical across worker
-// budgets 1, 2, 4 and 8 at both flow and hybrid fidelity. (As with the
-// packet shards, sharded output is not compared against the classic
-// engine: the epoch-quantized exchange is a deliberately different — but
-// internally deterministic — timeline.)
+// TestShardedFluidDeterminism extends the sharded-determinism rule to the
+// fluid fidelities: experiment JSON must stay byte-identical across worker
+// budgets 1, 2, 4 and 8 at both flow and hybrid fidelity. Fluid flows run
+// on the control-side engine, which advances only between epochs; in
+// hybrid mode the packet shards run in parallel beside it and read the
+// background load it publishes at the barriers. (Sharded output is not
+// compared against the classic engine here: packet traffic on the shards
+// follows a deliberately different, epoch-quantized timeline.)
 func TestShardedFluidDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded fluid determinism runs take a while")

@@ -60,8 +60,8 @@ type Options struct {
 }
 
 // fidelity parses Options.Fidelity, panicking on a spelling ParseFidelity
-// rejects — the CLI validates first, so a bad value here is programmer
-// error.
+// rejects — the registered Run validates first, so a bad value here is
+// programmer error.
 func (o Options) fidelity() fabric.Fidelity {
 	f, err := fabric.ParseFidelity(o.Fidelity)
 	if err != nil {

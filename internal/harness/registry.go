@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/fabric"
 	"repro/internal/results"
 )
 
@@ -33,8 +34,9 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
-// programming errors. The registered Run is wrapped to stamp result
-// metadata and wall time.
+// programming errors. The registered Run is wrapped to reject an unknown
+// Options.Fidelity with an error and to stamp result metadata and wall
+// time.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -53,6 +55,9 @@ func Register(e Experiment) {
 			opt = prepare(opt)
 		}
 		opt = opt.withDefaults(defaults)
+		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 		start := wallClock.Now()
 		res, err := run(opt)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/results"
@@ -181,6 +182,15 @@ func gridPointsFixture() []GridPoint {
 		}
 	}
 	return points
+}
+
+func TestRunRejectsUnknownFidelity(t *testing.T) {
+	// Options reach Run from library callers as well as from the CLI's
+	// checked flag: a bad fidelity spelling must come back as an error.
+	res, err := Lookup("fig2").Run(Options{Fidelity: "fluid"})
+	if err == nil || !strings.Contains(err.Error(), `"fluid"`) {
+		t.Fatalf("Run(Fidelity: fluid) = %v, %v; want an unknown-fidelity error", res, err)
+	}
 }
 
 func TestWithDefaultsClampsMinIters(t *testing.T) {
