@@ -20,6 +20,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/mpi"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workloads"
@@ -134,7 +135,10 @@ func BenchmarkFig12Bursty(b *testing.B) {
 
 func BenchmarkFig13TrafficClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
+		r, err := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.SameImpact, "sameTC-impact")
 		b.ReportMetric(r.SeparateImpact, "separateTC-impact")
 	}
@@ -142,7 +146,10 @@ func BenchmarkFig13TrafficClasses(b *testing.B) {
 
 func BenchmarkFig14Bandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig14Bandwidth(harness.Options{Nodes: 24, Seed: 3})
+		r, err := harness.Fig14Bandwidth(harness.Options{Nodes: 24, Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
 		_, sep := r.OverlapShares()
 		b.ReportMetric(sep[0], "tc1-share")
 	}
@@ -205,7 +212,7 @@ func BenchmarkAblationCongestionControl(b *testing.B) {
 }
 
 // Ablation: adaptive routing versus minimal-only under cross-group load.
-func BenchmarkAblationAdaptiveRouting(b *testing.B) {
+func BenchmarkAblationAdaptive(b *testing.B) {
 	for _, adaptive := range []bool{true, false} {
 		name := "minimal"
 		if adaptive {
@@ -215,7 +222,9 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prof := fabric.SlingshotProfile()
 				prof.SwitchJitter = false
-				prof.AdaptiveRouting = adaptive
+				if !adaptive {
+					prof.Routing = routing.NewMinimalOnly
+				}
 				topo := topology.MustNew(topology.Config{
 					Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 1,
 				})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -31,7 +32,9 @@ func run(adaptive bool) (sim.Time, float64) {
 	})
 	prof := fabric.SlingshotProfile()
 	prof.SwitchJitter = false
-	prof.AdaptiveRouting = adaptive
+	if !adaptive {
+		prof.Routing = routing.NewMinimalOnly
+	}
 	net := fabric.New(topo, prof, 3)
 
 	var hopSum, pkts int64

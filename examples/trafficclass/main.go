@@ -7,17 +7,25 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/harness"
+	"repro/internal/results"
 )
 
 func main() {
-	r := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
-	fmt.Println(r)
+	r, err := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(results.TextString(r.Result()))
 	fmt.Printf("protection factor: %.1fx\n", r.SameImpact/r.SeparateImpact)
 
 	fmt.Println("\nminimum-bandwidth guarantees (Fig. 14):")
-	b := harness.Fig14Bandwidth(harness.Options{Nodes: 24, Seed: 3})
+	b, err := harness.Fig14Bandwidth(harness.Options{Nodes: 24, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
 	same, sep := b.OverlapShares()
 	fmt.Printf("  same TC:      %.0f%% / %.0f%% while both jobs run\n", same[0]*100, same[1]*100)
 	fmt.Printf("  separate TCs: %.0f%% / %.0f%% (configured min 80%% / min 10%% + spare)\n",

@@ -320,7 +320,7 @@ func SolverIncremental(forceFull bool) func(b *testing.B) {
 			Groups: 64, SwitchesPerGroup: 8, NodesPerSwitch: 4, GlobalPerPair: 1,
 		})
 		eng := flow.NewEngine(topo, flow.Caps{
-			EdgeBits: 200e9, LocalBits: 200e9, GlobalBits: 200e9, MaxPaths: 4,
+			EdgeBits: 200e9, LocalBits: 200e9, GlobalBits: 200e9,
 		})
 		eng.Hooks = nopFlowHooks{}
 		eng.SetForceFull(forceFull)

@@ -70,7 +70,7 @@ func streamQuiet(t *testing.T, n *Network) (sim.Time, congestion.Controller) {
 
 func TestQuietRTTTracksTopology(t *testing.T) {
 	prof := fatTree25G(1024)
-	n := NewFromProfile(prof, 7)
+	n := New(topology.MustBuild(prof.Topo), prof, 7)
 	win := prof.CC.InitialWindow
 	near := n.quietRTT(0, 1, win)                                // same switch
 	far := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win) // cross-pod
@@ -88,7 +88,7 @@ func TestQuietRTTTracksTopology(t *testing.T) {
 	if again := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); again != far {
 		t.Errorf("quiet RTT unstable: %v then %v", far, again)
 	}
-	if other := NewFromProfile(prof, 7).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
+	if other := New(topology.MustBuild(prof.Topo), prof, 7).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
 		t.Errorf("quiet RTT differs across identical builds: %v vs %v", far, other)
 	}
 }
@@ -97,7 +97,8 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// Calibrated controllers on the big tree: the raised per-destination
 	// target absorbs the quiet base RTT, so a quiet stream sees no cuts
 	// and keeps the full window.
-	big := NewFromProfile(fatTree25G(1024), 7)
+	bigProf := fatTree25G(1024)
+	big := New(topology.MustBuild(bigProf.Topo), bigProf, 7)
 	bigFinish, cc := streamQuiet(t, big)
 	if s := cc.Stats().TotalSignals; s != 0 {
 		t.Errorf("calibrated controller cut %d times on a quiet path, want 0", s)
@@ -109,7 +110,8 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 
 	// The same stream on a small tree finishes in about the same time:
 	// throughput is scale-invariant once the target tracks the topology.
-	small := NewFromProfile(fatTree25G(64), 7)
+	smallProf := fatTree25G(64)
+	small := New(topology.MustBuild(smallProf.Topo), smallProf, 7)
 	smallFinish, _ := streamQuiet(t, small)
 	if ratio := float64(bigFinish) / float64(smallFinish); ratio > 1.1 {
 		t.Errorf("calibrated stream slows down %.2fx from 64 to 1024 nodes, want scale-invariance", ratio)
@@ -120,7 +122,7 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// the quiet stream runs several times slower.
 	prof := fatTree25G(1024)
 	prof.CCBuilder = uncalibrated(prof.CC)
-	uncal := NewFromProfile(prof, 7)
+	uncal := New(topology.MustBuild(prof.Topo), prof, 7)
 	uncalFinish, uncc := streamQuiet(t, uncal)
 	if s := uncc.Stats().TotalSignals; s == 0 {
 		t.Fatalf("uncalibrated controller saw no delay cuts; the over-throttle regime is gone")

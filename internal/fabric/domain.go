@@ -35,11 +35,10 @@ func (c *Counters) add(o *Counters) {
 }
 
 // domain is one shard of the fabric: a topology partition's switches,
-// NICs and ports under their own engine, own RNG stream, own packet
-// free-list, own routing arena and own counters. In classic
-// (single-threaded) mode the whole fabric is one domain whose engine IS
-// Network.Eng and whose counters ARE the Network's — the pre-sharding
-// data flow, bit for bit.
+// NICs and ports under their own engine, own packet free-list, own
+// routing arena and own counters. In classic (single-threaded) mode the
+// whole fabric is one domain whose engine IS Network.Eng and whose
+// counters ARE the Network's — the pre-sharding data flow, bit for bit.
 //
 // Every fabric component (Switch, NIC, outPort) carries its domain
 // pointer; handlers reach the clock and scheduler through it, so the
@@ -50,8 +49,7 @@ type domain struct {
 	eng *sim.Engine
 	// sh is the domain's mailbox shard; nil in classic mode (and then
 	// every component shares this one domain, so post never needs it).
-	sh  *par.Shard
-	rng *sim.RNG
+	sh *par.Shard
 	// ctr is where this domain's handlers count: the Network's embedded
 	// block in classic mode, the private block below when sharded.
 	ctr      *Counters
@@ -146,34 +144,21 @@ func (d *domain) deferTap(at sim.Time, p *Packet) {
 //simlint:hotpath
 func (d *domain) QueuedTo(a, b topology.SwitchID) int64 {
 	n := d.net
-	var bg int64
+	nb := n.Topo.NeighborIndex(a, b)
+	var q int64
+	if sw := n.switches[a]; sw.dom == d {
+		_, q = leastLoaded(sw.ports[nb])
+	} else {
+		q = n.snap[n.slotBase[a]+int32(nb)]
+	}
 	if n.flowBG != nil {
 		// Fluid background load: written only between epochs on the
 		// control engine (see flowTicker), so shard-time reads here can
 		// never observe a torn or mid-publication value — the same
-		// barrier discipline as the snap tables below.
-		bg = n.flowBG[n.bgOff[a]+int32(n.Topo.NeighborIndex(a, b))]
+		// barrier discipline as the snapshot above.
+		q += n.flowBG[n.slotBase[a]+int32(nb)]
 	}
-	sw := n.switches[a]
-	if sw.dom == d {
-		return liveQueuedTo(sw, b) + bg
-	}
-	return n.snap[n.snapOff[a]+int32(n.Topo.NeighborIndex(a, b))] + bg
-}
-
-// liveQueuedTo is the exact queued-byte figure: the least-loaded
-// parallel egress port from sw towards adjacent switch b.
-//
-//simlint:hotpath
-func liveQueuedTo(sw *Switch, b topology.SwitchID) int64 {
-	ports := sw.portsTo(b)
-	least := ports[0].queuedBytes()
-	for _, o := range ports[1:] {
-		if q := o.queuedBytes(); q < least {
-			least = q
-		}
-	}
-	return least
+	return q
 }
 
 // refreshSnapshot republishes this domain's switch loads into the shared
@@ -186,15 +171,9 @@ func liveQueuedTo(sw *Switch, b topology.SwitchID) int64 {
 func (d *domain) refreshSnapshot() {
 	n := d.net
 	for _, s := range d.switches {
-		off := int(n.snapOff[s.ID])
+		off := n.slotBase[s.ID]
 		for i, ports := range s.ports {
-			least := ports[0].queuedBytes()
-			for _, o := range ports[1:] {
-				if q := o.queuedBytes(); q < least {
-					least = q
-				}
-			}
-			n.snap[off+i] = least
+			_, n.snap[off+int32(i)] = leastLoaded(ports)
 		}
 	}
 }
@@ -258,7 +237,7 @@ func (n *Network) flushDeferred() {
 // one regardless, so Domains=1 and Domains=N run the identical
 // computation and produce byte-identical output.
 func (n *Network) initDomains(workers int) {
-	part := n.Topo.Partition(0)
+	part := n.Topo.Partition()
 	k := part.Domains
 	n.doms = make([]*domain, k)
 	shards := make([]*par.Shard, k)
@@ -268,12 +247,6 @@ func (n *Network) initDomains(workers int) {
 		shards[i] = par.NewShard(i, d.eng, k)
 		d.sh = shards[i]
 		n.doms[i] = d
-	}
-	// One RNG stream per domain, split in domain order after the build's
-	// own splits — the stream layout depends only on the topology, never
-	// on the worker count.
-	for _, d := range n.doms {
-		d.rng = n.rng.Split()
 	}
 	for _, s := range n.switches {
 		d := n.doms[part.Of[s.ID]]
@@ -293,14 +266,8 @@ func (n *Network) initDomains(workers int) {
 		nic.dom = d
 		nic.inj.dom = d
 	}
-	// The remote-load snapshot: one slot per (switch, neighbor index).
-	n.snapOff = make([]int32, len(n.switches))
-	total := int32(0)
-	for i := range n.switches {
-		n.snapOff[i] = total
-		total += int32(n.Topo.NeighborCount(topology.SwitchID(i)))
-	}
-	n.snap = make([]int64, total)
+	// The remote-load snapshot: one entry per link slot.
+	n.snap = make([]int64, n.linkSlots()[len(n.switches)])
 
 	n.par = par.New(shards, n.Eng, part.MinCutLatency, workers)
 	n.par.Hooks = n

@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -326,13 +327,15 @@ func TestVictimProtection(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRoutingSpreadsLoad(t *testing.T) {
+func TestAdaptiveSpreadsLoad(t *testing.T) {
 	// With adaptive routing, a hot minimal path diverts traffic to
 	// alternates: total completion of simultaneous cross-group flows
 	// should beat minimal-only routing.
 	run := func(adaptive bool) sim.Time {
 		prof := noJitter(SlingshotProfile())
-		prof.AdaptiveRouting = adaptive
+		if !adaptive {
+			prof.Routing = routing.NewMinimalOnly
+		}
 		topo := topology.MustNew(topology.Config{
 			Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 1,
 		})

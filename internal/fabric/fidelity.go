@@ -88,17 +88,17 @@ const (
 // construction and before any traffic; FidelityPacket is the default and
 // needs no call. Flow and hybrid modes build the fluid engine over the
 // same topology, with segment capacities derated by the Ethernet framing
-// efficiency at the profile's cell size so fluid goodput matches what a
+// efficiency at the maximum cell size so fluid goodput matches what a
 // packet stream saturating the link achieves.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fid = f
 	if f == FidelityPacket {
 		n.flowEng = nil
-		n.flowBG, n.flowBGEdge, n.bgOff = nil, nil, nil
+		n.flowBG, n.flowBGEdge = nil, nil
 		return
 	}
 	prof := &n.Prof
-	cell := prof.cell()
+	const cell = ethernet.MaxPayload
 	caps := flow.Caps{
 		EdgeBits:   float64(prof.EdgeBits) * ethernet.Efficiency(cell, prof.EdgeMode),
 		LocalBits:  float64(prof.fabricBits()) * ethernet.Efficiency(cell, prof.FabricMode),
@@ -107,23 +107,20 @@ func (n *Network) SetFidelity(f Fidelity) {
 	n.flowEng = flow.NewEngine(n.Topo, caps)
 	n.flowEng.Hooks = (*flowHooks)(n)
 
-	// Background-load tables, one slot per (switch, dense neighbor index)
-	// — the same layout as the sharded epoch snapshot — plus one per node
-	// for the switch->node edge. Written only by publishFlowBG on the
-	// control engine; read by routing and enqueue thresholds.
-	topo := n.Topo
-	n.bgOff = make([]int32, topo.Switches()+1)
-	for s := 0; s < topo.Switches(); s++ {
-		n.bgOff[s+1] = n.bgOff[s] + int32(topo.NeighborCount(topology.SwitchID(s)))
-	}
-	n.flowBG = make([]int64, n.bgOff[topo.Switches()])
-	n.flowBGEdge = make([]int64, topo.Nodes())
+	// Background-load tables, one entry per link slot — the layout of the
+	// sharded epoch snapshot and of the fluid engine's fabric segments —
+	// plus one per node for the switch->node edge. Written only by
+	// publishFlowBG on the control engine; read by routing and enqueue
+	// thresholds.
+	slots := n.linkSlots()
+	n.flowBG = make([]int64, slots[len(n.switches)])
+	n.flowBGEdge = make([]int64, n.Topo.Nodes())
 	// Stamp each port's slot in the background tables so the per-packet
 	// threshold checks are one slice read.
 	for _, sw := range n.switches {
 		for nb, ports := range sw.ports {
 			for _, o := range ports {
-				o.bgIdx = n.bgOff[sw.ID] + int32(nb)
+				o.bgIdx = slots[sw.ID] + int32(nb)
 			}
 		}
 		for _, o := range sw.edge {
@@ -233,7 +230,7 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 	// store-and-forward pipeline drain per switch (the fluid serialization
 	// itself is the transfer's bytes/rate and lives in the solver).
 	lat = prof.HostGap + 2*prof.NICLatency + wire
-	lat += sim.Time(switches) * sim.SerializationTime(int64(prof.cell()), prof.fabricBits())
+	lat += sim.Time(switches) * sim.SerializationTime(ethernet.MaxPayload, prof.fabricBits())
 	ackLat = n.revLatency(path)
 	gap := prof.HostGap
 	if m.Rendezvous {
@@ -249,7 +246,7 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 	// serializes the extra bytes at up to edge rate, so subtracting the
 	// gap from the latency makes the charge completion-neutral when
 	// unloaded and a throughput brake when streaming.
-	extraBytes = int64(float64(gap) / 8e12 * float64(prof.EdgeBits) * ethernet.Efficiency(prof.cell(), prof.EdgeMode))
+	extraBytes = int64(float64(gap) / 8e12 * float64(prof.EdgeBits) * ethernet.Efficiency(ethernet.MaxPayload, prof.EdgeMode))
 	if lat > gap {
 		lat -= gap
 	} else {
@@ -362,13 +359,9 @@ func (n *Network) publishFlowBG() {
 		return
 	}
 	n.flowEng.Resolve()
-	topo := n.Topo
-	for s := 0; s < topo.Switches(); s++ {
-		base := n.bgOff[s]
-		for i := 0; i < topo.NeighborCount(topology.SwitchID(s)); i++ {
-			rate, cap := n.flowEng.SegmentRate(topology.SwitchID(s), i)
-			n.flowBG[base+int32(i)] = bgQueueEquivalent(rate, cap)
-		}
+	for slot := range n.flowBG {
+		rate, cap := n.flowEng.SegmentRate(slot)
+		n.flowBG[slot] = bgQueueEquivalent(rate, cap)
 	}
 	for node := range n.flowBGEdge {
 		rate, cap := n.flowEng.EdgeDownRate(topology.NodeID(node))

@@ -38,17 +38,17 @@ type Network struct {
 	nics     []*NIC
 	msgID    int64
 	// policy is the source-switch routing policy every injected packet's
-	// path comes from (Profile.Routing, defaulting to SlingshotAdaptive or
-	// MinimalOnly per Profile.AdaptiveRouting).
+	// path comes from (built by Profile.Routing).
 	policy routing.Policy
 	// wantSignals/wantECN cache the congestion algorithm's fabric-side
 	// hooks (congestion.Hooks), so the per-packet enqueue path reads two
 	// bools instead of dispatching on the controller.
 	wantSignals, wantECN bool
-	// minPaths lazily caches Topo.MinimalPaths(src, dst, 4), row by
-	// source switch: minPaths[src][dst]. Rows allocate on the first packet
-	// routed from that source, so a large fabric pays O(sources actually
-	// routing) rather than an O(Switches²) spike on the first packet.
+	// minPaths lazily caches the topology.RouteCandidates minimal paths
+	// per switch pair, row by source switch: minPaths[src][dst]. Rows
+	// allocate on the first packet routed from that source, so a large
+	// fabric pays O(sources actually routing) rather than an
+	// O(Switches²) spike on the first packet.
 	// Minimal-path enumeration is deterministic and RNG-free, so caching
 	// cannot perturb replay; it removes the per-packet path-construction
 	// allocations from adaptive routing. The cached paths are shared (they
@@ -62,29 +62,32 @@ type Network struct {
 	// allocator in congestion-grid cells with co-located ranks. Read-only
 	// after build, like the minPaths entries.
 	selfPaths []topology.Path
+	// slotBase numbers the directed switch-to-switch links
+	// (topology.LinkSlotBase): the sharded load snapshot and the fluid
+	// background-load table index by it, as do the fluid engine's fabric
+	// segments. Built on first use by linkSlots.
+	slotBase []int32
 
 	// Sharding state (see domain.go). doms always has at least the one
 	// classic domain; par is nil in classic mode.
 	doms []*domain
 	par  *par.Coordinator
-	// snap/snapOff are the epoch-start remote-load snapshot: one slot per
-	// (switch, dense neighbor index), refreshed by each switch's owning
-	// domain at the epoch drain barrier.
+	// snap is the epoch-start remote-load snapshot, one entry per link
+	// slot, refreshed by each switch's owning domain at the epoch drain
+	// barrier.
 	snap    []int64
-	snapOff []int32
 	defrBuf defrMerge
 
 	// Fidelity state (see fidelity.go). flowEng is nil at the packet
 	// default and carries every fluid flow otherwise, driven from the
 	// control engine; flowTickEv is its one pending tick (nil when idle).
-	// The background tables mirror the snap/snapOff layout and are written
-	// only at epoch barriers (control engine).
+	// The background tables are written only at epoch barriers (control
+	// engine): flowBG per link slot, flowBGEdge per node.
 	fid        Fidelity
 	flowEng    *flow.Engine
 	flowTickEv *sim.Event
 	flowBG     []int64
 	flowBGEdge []int64
-	bgOff      []int32
 	// flowsStarted/flowsCompleted count fluid admissions and completions.
 	flowsStarted, flowsCompleted int64
 	// msgFree recycles opted-in (SendOpts.Recycle) Message structs so
@@ -124,7 +127,7 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 		Prof:   prof,
 		QoS:    qcfg,
 		rng:    sim.NewRNG(seed),
-		policy: prof.routingBuilder()(),
+		policy: prof.Routing(),
 	}
 	n.build()
 	if domains <= 0 {
@@ -133,16 +136,6 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 		n.initDomains(domains)
 	}
 	return n
-}
-
-// NewFromProfile builds a network over the profile's own topology
-// constructor (Profile.Topo). It panics when the profile carries none or
-// the build fails — profiles with a Topo are validated configurations.
-func NewFromProfile(prof Profile, seed uint64) *Network {
-	if prof.Topo == nil {
-		panic(fmt.Sprintf("fabric: profile %q has no topology constructor", prof.Name))
-	}
-	return New(topology.MustBuild(prof.Topo), prof, seed)
 }
 
 func (n *Network) build() {
@@ -306,7 +299,7 @@ func (n *Network) Send(src, dst topology.NodeID, bytes int64, opts SendOpts) *Me
 	m.Class = class
 	m.OnDelivered = opts.OnDelivered
 	m.OnAcked = opts.OnAcked
-	m.numPackets = ethernet.Packets(bytes, n.Prof.cell())
+	m.numPackets = ethernet.Packets(bytes, ethernet.MaxPayload)
 	m.recycle = opts.Recycle
 	if n.Prof.RendezvousThreshold > 0 && bytes > n.Prof.RendezvousThreshold && !opts.NoRendezvous {
 		m.Rendezvous = true
@@ -402,6 +395,16 @@ func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int6
 	}, n.minimalPaths(src, dst), s.dom, s.rng)
 }
 
+// linkSlots returns the network's link-slot numbering, building it on
+// first use: only the sharded load snapshot and the fluid background
+// table need it, so a classic packet-fidelity network never allocates it.
+func (n *Network) linkSlots() []int32 {
+	if n.slotBase == nil {
+		n.slotBase = topology.LinkSlotBase(n.Topo)
+	}
+	return n.slotBase
+}
+
 // minimalPaths returns the cached minimal-path candidates between two
 // distinct switches, computing them on first use. Rows are per source
 // switch and lazily allocated — only ever by the domain owning the source
@@ -415,26 +418,10 @@ func (n *Network) minimalPaths(src, dst topology.SwitchID) []topology.Path {
 	}
 	ps := row[dst]
 	if ps == nil {
-		ps = n.Topo.MinimalPaths(src, dst, 4)
+		ps = n.Topo.MinimalPaths(src, dst, topology.RouteCandidates)
 		row[dst] = ps
 	}
 	return ps
-}
-
-// QueuedTo implements routing.LoadReader: the queued bytes on the
-// least-loaded (parallel) egress port from switch a towards the adjacent
-// switch b — the request-queue depth §II-C scores paths by. The local
-// switch's figure is exact; remote ones arrive via the credit and ack
-// piggyback channels.
-func (n *Network) QueuedTo(a, b topology.SwitchID) int64 {
-	ports := n.switches[a].portsTo(b)
-	least := ports[0].queuedBytes()
-	for _, o := range ports[1:] {
-		if q := o.queuedBytes(); q < least {
-			least = q
-		}
-	}
-	return least + ports[0].bgQueued()
 }
 
 // quietRTT estimates the uncongested ack round-trip between two nodes

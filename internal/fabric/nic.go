@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"repro/internal/congestion"
+	"repro/internal/ethernet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -312,7 +313,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			}
 		}
 		// Data packet, subject to the congestion window.
-		size := int64(n.net.Prof.cell())
+		size := int64(ethernet.MaxPayload)
 		remaining := m.Bytes - int64(m.nextSeq)*size
 		if remaining < size {
 			size = remaining

@@ -269,3 +269,19 @@ func (o *outPort) disarmWatchdog() {
 // queuedBytes is the congestion estimate adaptive routing reads (§II-C:
 // "the total depth of the request queues of each output port").
 func (o *outPort) queuedBytes() int64 { return o.sched.TotalQueuedBytes() }
+
+// leastLoaded returns the parallel egress port with the fewest queued
+// bytes, and that depth; the first port wins ties. Forwarding
+// (bestPortTo), live routing load reads and the epoch load snapshot all
+// choose through it.
+//
+//simlint:hotpath
+func leastLoaded(ports []*outPort) (*outPort, int64) {
+	best, least := ports[0], ports[0].queuedBytes()
+	for _, o := range ports[1:] {
+		if q := o.queuedBytes(); q < least {
+			best, least = o, q
+		}
+	}
+	return best, least
+}

@@ -34,9 +34,9 @@ type Profile struct {
 
 	// Topo optionally pairs the link/latency model with a topology
 	// constructor — the shape this hardware ships as (e.g. FatTree100G
-	// builds a folded Clos). NewFromProfile builds it; callers that
-	// construct their own topology (the harness systems, tests) pass one
-	// to New directly and may leave Topo nil.
+	// builds a folded Clos). New takes a built topology, so a caller
+	// builds this one (topology.MustBuild(prof.Topo)) or its own; it may
+	// be nil.
 	Topo topology.Builder
 
 	// FabricBits is the switch-to-switch link bandwidth (bits/s/direction).
@@ -60,14 +60,10 @@ type Profile struct {
 	// and/or mark ECN.
 	CCBuilder congestion.Builder
 
-	// Routing, when set, constructs the network's source-switch routing
-	// policy. nil keeps the historical behaviour: SlingshotAdaptive when
-	// AdaptiveRouting is set, MinimalOnly otherwise.
+	// Routing constructs the network's source-switch routing policy
+	// (routing.NewSlingshotAdaptive for §II-C adaptive routing,
+	// routing.NewMinimalOnly for the first minimal path).
 	Routing routing.Builder
-	// AdaptiveRouting enables source-switch adaptive path selection;
-	// when false, packets take the first minimal path. Only consulted
-	// when Routing is nil.
-	AdaptiveRouting bool
 	// MinimalBias > 1 biases path costs towards minimal paths (§II-C).
 	MinimalBias float64
 	// RouteNoise randomizes path-cost estimates (0 = perfect information).
@@ -80,10 +76,6 @@ type Profile struct {
 	// speak classic Ethernet); FabricMode is switch-to-switch framing
 	// (always Slingshot-enhanced on Rosetta).
 	EdgeMode, FabricMode ethernet.Mode
-
-	// CellBytes caps per-packet payload (default ethernet.MaxPayload).
-	// Harnesses may raise it for multi-MiB messages to bound event counts.
-	CellBytes int
 
 	// HostGap is the per-message host/driver overhead; it serializes
 	// message injection on a NIC and sets the small-message rate
@@ -133,12 +125,11 @@ func SlingshotProfile() Profile {
 		Taper:               1,
 		InputBufferBytes:    rosetta.InputBufferBytes,
 		CC:                  congestion.DefaultParams(congestion.Slingshot),
-		AdaptiveRouting:     true,
+		Routing:             routing.NewSlingshotAdaptive,
 		MinimalBias:         2,
 		RouteNoise:          0.1,
 		EdgeMode:            ethernet.Standard,
 		FabricMode:          ethernet.Enhanced,
-		CellBytes:           ethernet.MaxPayload,
 		HostGap:             850 * sim.Nanosecond,
 		NICLatency:          300 * sim.Nanosecond,
 		RendezvousThreshold: 16 * 1024,
@@ -207,25 +198,6 @@ func ECNProfile() Profile {
 	p.Name = "slingshot-ecn"
 	p.CC = congestion.DefaultParams(congestion.ECNLike)
 	return p
-}
-
-// routingBuilder resolves the profile's routing-policy constructor:
-// Profile.Routing, else the AdaptiveRouting bool's historical mapping.
-func (p *Profile) routingBuilder() routing.Builder {
-	if p.Routing != nil {
-		return p.Routing
-	}
-	if p.AdaptiveRouting {
-		return routing.NewSlingshotAdaptive
-	}
-	return routing.NewMinimalOnly
-}
-
-func (p *Profile) cell() int {
-	if p.CellBytes <= 0 {
-		return ethernet.MaxPayload
-	}
-	return p.CellBytes
 }
 
 func (p *Profile) fabricBits() int64 {

@@ -100,7 +100,7 @@ func TestShardedDomainLayout(t *testing.T) {
 	if n.Workers() != 4 {
 		t.Fatalf("Workers() = %d, want 4", n.Workers())
 	}
-	part := n.Topo.Partition(0)
+	part := n.Topo.Partition()
 	for _, s := range n.switches {
 		if s.dom.id != part.Of[s.ID] {
 			t.Fatalf("switch %d in domain %d, want %d", s.ID, s.dom.id, part.Of[s.ID])

@@ -103,14 +103,8 @@ func (s *Switch) forward(p *Packet) {
 // bestPortTo picks the least-loaded parallel link towards an adjacent
 // switch.
 func (s *Switch) bestPortTo(next topology.SwitchID) *outPort {
-	ports := s.portsTo(next)
-	best := ports[0]
-	for _, o := range ports[1:] {
-		if o.queuedBytes() < best.queuedBytes() {
-			best = o
-		}
-	}
-	return best
+	o, _ := leastLoaded(s.portsTo(next))
+	return o
 }
 
 // enqueue places the packet in the egress scheduler and runs the

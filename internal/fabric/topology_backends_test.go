@@ -39,12 +39,12 @@ func backendProfile(kind string) Profile {
 	return prof
 }
 
-// TestNewFromProfile: a profile that pairs its link model with a
-// topology constructor builds a working network on its own.
-func TestNewFromProfile(t *testing.T) {
+// TestProfileTopoBuilds: a profile that pairs its link model with a
+// topology constructor builds a working network over that topology.
+func TestProfileTopoBuilds(t *testing.T) {
 	prof := FatTree100GProfile()
 	prof.SwitchJitter = false
-	n := NewFromProfile(prof, 3)
+	n := New(topology.MustBuild(prof.Topo), prof, 3)
 	if n.Topo.Kind() != "fattree" || n.Topo.Nodes() < 1024 {
 		t.Fatalf("profile built %s with %d nodes", n.Topo.Kind(), n.Topo.Nodes())
 	}
@@ -55,12 +55,6 @@ func TestNewFromProfile(t *testing.T) {
 	if !done {
 		t.Fatal("message not delivered on profile-built fat-tree")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewFromProfile without a Topo should panic")
-		}
-	}()
-	NewFromProfile(SlingshotProfile(), 1)
 }
 
 // TestBackendsAllTrafficDelivered: on a quiet fat-tree and HyperX, every
@@ -131,12 +125,12 @@ func TestBackendsPacketPathsValid(t *testing.T) {
 	}
 }
 
-// TestBackendsAdaptiveRoutingSpreadsLoad ports the Dragonfly
+// TestBackendsAdaptiveSpreadsLoad ports the Dragonfly
 // spreads-load property to the fat-tree and HyperX backends: with
 // adaptive routing, simultaneous flows whose first-choice minimal paths
 // collide divert to alternates, so total completion should not lose to
 // minimal-only routing.
-func TestBackendsAdaptiveRoutingSpreadsLoad(t *testing.T) {
+func TestBackendsAdaptiveSpreadsLoad(t *testing.T) {
 	cases := map[string]struct {
 		topo func() topology.Topology
 		// flows returns colliding (src, dst) node pairs whose first-choice
@@ -192,7 +186,9 @@ func TestBackendsAdaptiveRoutingSpreadsLoad(t *testing.T) {
 			run := func(adaptive bool) sim.Time {
 				topo := c.topo()
 				prof := backendProfile(kind)
-				prof.AdaptiveRouting = adaptive
+				if !adaptive {
+					prof.Routing = routing.NewMinimalOnly
+				}
 				n := New(topo, prof, 3)
 				done, total := 0, 0
 				for _, f := range c.flows(topo) {

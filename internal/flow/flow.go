@@ -56,9 +56,6 @@ type Caps struct {
 	EdgeBits   float64 // node<->switch links, each direction
 	LocalBits  float64 // intra-group (electrical) switch links
 	GlobalBits float64 // inter-group (optical) switch links
-	// MaxPaths bounds the cached minimal-path candidates per switch pair
-	// (0 means the fabric default of 4).
-	MaxPaths int
 }
 
 // Hooks receives flow completion callbacks. Delivered fires when the last
@@ -121,24 +118,23 @@ type pendingCB struct {
 }
 
 // Engine advances a set of fluid flows over directed capacity segments.
-// One segment exists per (switch, dense neighbor index) direction —
-// parallel links between a switch pair pool into one segment, matching
-// the packet engine's round-robin port spreading — plus one per node for
-// each edge-link direction.
+// One segment exists per directed switch-to-switch link slot
+// (topology.LinkSlotBase) — parallel links between a switch pair pool
+// into one segment, matching the packet engine's round-robin port
+// spreading — plus one per node for each edge-link direction.
 type Engine struct {
 	topo  topology.Topology
 	Hooks Hooks
 
-	// Segment layout, fixed at construction: switch s's fabric segments
-	// start at swBase[s] (its dense neighbor index is the offset), then
-	// come every node's edge-up segment from edgeUp and every node's
-	// edge-down segment from edgeDn, both indexed by node id.
-	segCap []float64 // effective bits/s per segment
-	swBase []int32
-	edgeUp int32
-	edgeDn int32
+	// Segment layout, fixed at construction: the fabric segments are the
+	// link slots (switch s's start at slotBase[s]), then come every
+	// node's edge-up segment from edgeUp and every node's edge-down
+	// segment from edgeDn, both indexed by node id.
+	segCap   []float64 // effective bits/s per segment
+	slotBase []int32
+	edgeUp   int32
+	edgeDn   int32
 
-	maxPaths int
 	// paths caches minimal-path candidates keyed by (src switch << 32 |
 	// dst switch). A map (lookups only, never iterated — determinism is
 	// preserved) instead of dense per-source rows: million-endpoint
@@ -204,18 +200,11 @@ func (o *byID) Swap(i, j int)      { o.f[i], o.f[j] = o.f[j], o.f[i] }
 // segment at twice GlobalBits, which is how the packet engine's
 // round-robin over parallel ports behaves in aggregate.
 func NewEngine(topo topology.Topology, caps Caps) *Engine {
-	e := &Engine{topo: topo, maxPaths: caps.MaxPaths, dirtyGen: 1}
-	if e.maxPaths <= 0 {
-		e.maxPaths = 4
-	}
+	e := &Engine{topo: topo, dirtyGen: 1}
 	e.paths = make(map[int64][]topology.Path)
-	sw, nodes := topo.Switches(), topo.Nodes()
-	e.swBase = make([]int32, sw)
-	base := int32(0)
-	for s := 0; s < sw; s++ {
-		e.swBase[s] = base
-		base += int32(topo.NeighborCount(topology.SwitchID(s)))
-	}
+	nodes := topo.Nodes()
+	e.slotBase = topology.LinkSlotBase(topo)
+	base := e.slotBase[topo.Switches()]
 	e.edgeUp = base
 	e.edgeDn = base + int32(nodes)
 	nSeg := int(base) + 2*nodes
@@ -237,8 +226,8 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 			if lk.Kind == topology.GlobalLink {
 				bits = caps.GlobalBits
 			}
-			e.segCap[e.swBase[lk.A]+int32(topo.NeighborIndex(lk.A, lk.B))] += bits
-			e.segCap[e.swBase[lk.B]+int32(topo.NeighborIndex(lk.B, lk.A))] += bits
+			e.segCap[e.segOf(lk.A, lk.B)] += bits
+			e.segCap[e.segOf(lk.B, lk.A)] += bits
 		}
 	}
 	e.activeTo = make([]int32, nodes)
@@ -265,12 +254,16 @@ func (e *Engine) Solves() int64 { return e.solves }
 func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 
 // SegmentRate returns the solver-allocated bits/s on the fabric segment
-// from switch s towards its nbIdx-th neighbor, and the segment's
+// of a directed link slot (topology.LinkSlotBase), and the segment's
 // capacity. Valid after the last Advance/Start (the solver runs lazily;
 // call Resolve first if rates must be fresh).
-func (e *Engine) SegmentRate(s topology.SwitchID, nbIdx int) (rate, cap float64) {
-	i := e.swBase[s] + int32(nbIdx)
-	return e.segRate[i], e.segCap[i]
+func (e *Engine) SegmentRate(slot int) (rate, cap float64) {
+	return e.segRate[slot], e.segCap[slot]
+}
+
+// segOf returns the fabric segment of the directed link a->b.
+func (e *Engine) segOf(a, b topology.SwitchID) int32 {
+	return e.slotBase[a] + int32(e.topo.NeighborIndex(a, b))
 }
 
 // EdgeDownRate returns allocated bits/s and capacity on the switch->node
@@ -370,8 +363,7 @@ func (e *Engine) buildSegs(f *Flow) {
 	if a != b {
 		p := e.choosePath(a, b)
 		for i := 0; i+1 < len(p); i++ {
-			nb := e.topo.NeighborIndex(p[i], p[i+1])
-			f.segs = append(f.segs, e.swBase[p[i]]+int32(nb))
+			f.segs = append(f.segs, e.segOf(p[i], p[i+1]))
 		}
 	}
 	f.segs = append(f.segs, e.edgeDn+int32(f.dst))
@@ -387,8 +379,7 @@ func (e *Engine) choosePath(a, b topology.SwitchID) topology.Path {
 	for ci, p := range cands {
 		var mx, sum int32
 		for i := 0; i+1 < len(p); i++ {
-			s := e.swBase[p[i]] + int32(e.topo.NeighborIndex(p[i], p[i+1]))
-			n := e.segFlows[s]
+			n := e.segFlows[e.segOf(p[i], p[i+1])]
 			if n > mx {
 				mx = n
 			}
@@ -409,7 +400,7 @@ func (e *Engine) candidates(a, b topology.SwitchID) []topology.Path {
 	key := int64(a)<<32 | int64(b)
 	ps, ok := e.paths[key]
 	if !ok {
-		ps = e.topo.MinimalPaths(a, b, e.maxPaths)
+		ps = e.topo.MinimalPaths(a, b, topology.RouteCandidates)
 		e.paths[key] = ps //simlint:retained -- per-pair path cache, bounded by used pairs
 	}
 	return ps

@@ -286,7 +286,7 @@ func TestPathChoiceSpreads(t *testing.T) {
 	sw := e.topo.SwitchOf(src)
 	used := 0
 	for i := 0; i < e.topo.NeighborCount(sw); i++ {
-		if e.segFlows[e.swBase[sw]+int32(i)] > 0 {
+		if e.segFlows[e.slotBase[sw]+int32(i)] > 0 {
 			used++
 		}
 	}

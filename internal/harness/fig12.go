@@ -129,5 +129,3 @@ func (r Fig12Result) Result() *results.Result {
 	}
 	return res
 }
-
-func (r Fig12Result) String() string { return results.TextString(r.Result()) }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/placement"
@@ -17,13 +19,26 @@ var (
 	fig14Defaults = Options{Nodes: 32}
 )
 
+const (
+	// fig13MinNodes gives the victim job (half the machine) two ranks: a
+	// one-rank Allreduce completes without advancing simulated time, so
+	// fig13's measurement loop would never reach its horizon.
+	fig13MinNodes = 4
+	// fig14MinNodes gives each of the two jobs a node.
+	fig14MinNodes = 2
+)
+
 func init() {
 	Register(Experiment{
 		Name:           "fig13",
 		Desc:           "traffic-class isolation of a latency-critical allreduce over time",
 		DefaultOptions: fig13Defaults,
 		Run: func(opt Options) (*results.Result, error) {
-			return Fig13TrafficClasses(opt).Result(), nil
+			r, err := Fig13TrafficClasses(opt)
+			if err != nil {
+				return nil, err
+			}
+			return r.Result(), nil
 		},
 	})
 	Register(Experiment{
@@ -31,9 +46,44 @@ func init() {
 		Desc:           "guaranteed-minimum bandwidth split between two jobs over time",
 		DefaultOptions: fig14Defaults,
 		Run: func(opt Options) (*results.Result, error) {
-			return Fig14Bandwidth(opt).Result(), nil
+			r, err := Fig14Bandwidth(opt)
+			if err != nil {
+				return nil, err
+			}
+			return r.Result(), nil
 		},
 	})
+}
+
+// qosCheck rejects the options fig13 and fig14 cannot run: fewer than
+// minNodes nodes, or a fidelity other than packet. Both figures measure
+// traffic classes, which act on switch queues that fluid transfers
+// bypass, and fig14 counts bandwidth through Taps.OnPacketDelivered,
+// which fluid transfers never fire.
+func qosCheck(name string, opt Options, minNodes int) error {
+	if opt.Nodes < minNodes {
+		return fmt.Errorf("harness: %s needs at least %d nodes, got %d", name, minNodes, opt.Nodes)
+	}
+	f, err := fabric.ParseFidelity(opt.Fidelity)
+	if err != nil {
+		return err
+	}
+	if f != fabric.FidelityPacket {
+		return fmt.Errorf("harness: %s runs only at packet fidelity, got %s", name, f)
+	}
+	return nil
+}
+
+// qosNetwork builds the network fig13 and fig14 measure on: the whole
+// (scaled) Malbec, so the two interleaved jobs genuinely share fabric
+// links, tapered to 25% as in the paper to force interference, with the
+// given traffic classes.
+func qosNetwork(opt Options, classes *qos.Config) *fabric.Network {
+	sys := Malbec(opt.Nodes)
+	sys.Prof.Taper = 0.25
+	sys.Prof.QoS = classes
+	sys.Domains = opt.Domains
+	return sys.build(opt.Seed)
 }
 
 // qosTwoClasses builds the Fig. 13 configuration: a high-priority,
@@ -74,8 +124,11 @@ type Fig13Result struct {
 
 // Fig13TrafficClasses runs both configurations (in parallel — each owns
 // its network).
-func Fig13TrafficClasses(opt Options) Fig13Result {
+func Fig13TrafficClasses(opt Options) (Fig13Result, error) {
 	opt = opt.withDefaults(fig13Defaults)
+	if err := qosCheck("fig13", opt, fig13MinNodes); err != nil {
+		return Fig13Result{}, err
+	}
 	type run struct {
 		pts    []Fig13Point
 		impact float64
@@ -87,21 +140,15 @@ func Fig13TrafficClasses(opt Options) Fig13Result {
 	return Fig13Result{
 		SameTC: runs[0].pts, SameImpact: runs[0].impact,
 		SeparateTC: runs[1].pts, SeparateImpact: runs[1].impact,
-	}
+	}, nil
 }
 
 func fig13Run(opt Options, separate bool) ([]Fig13Point, float64) {
-	// The experiment spans the whole (scaled) machine so the two
-	// interleaved jobs genuinely share fabric links.
-	sys := Malbec(opt.Nodes)
-	prof := sys.Prof
-	prof.Taper = 0.25 // the paper tapers Malbec to 25% to force interference
-	prof.QoS = qosTwoClasses()
 	latClass := 0 // same TC: both jobs in bulk
 	if separate {
 		latClass = 1
 	}
-	net := fabric.NewSharded(topology.MustNew(sys.Topo), prof, opt.Seed, opt.Domains)
+	net := qosNetwork(opt, qosTwoClasses())
 	vNodes, aNodes := placement.Split(opt.Nodes, opt.Nodes/2, placement.Interleaved, nil)
 	vjob := mpi.NewJob(net, vNodes, mpi.JobOpts{Stack: mpi.MPI, Class: latClass, Tag: 1})
 	ajob := mpi.NewJob(net, aNodes, mpi.JobOpts{Stack: mpi.MPI, Class: 0, Tag: 2})
@@ -180,8 +227,6 @@ func (r Fig13Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig13Result) String() string { return results.TextString(r.Result()) }
-
 // Fig14Series is one job's bandwidth-over-time trace.
 type Fig14Series struct {
 	Job     string
@@ -199,21 +244,19 @@ type Fig14Result struct {
 
 // Fig14Bandwidth runs both configurations (in parallel — each owns its
 // network).
-func Fig14Bandwidth(opt Options) Fig14Result {
+func Fig14Bandwidth(opt Options) (Fig14Result, error) {
 	opt = opt.withDefaults(fig14Defaults)
+	if err := qosCheck("fig14", opt, fig14MinNodes); err != nil {
+		return Fig14Result{}, err
+	}
 	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []Fig14Series {
 		return fig14Run(opt, separate)
 	})
-	return Fig14Result{SameTC: runs[0], SeparateTC: runs[1]}
+	return Fig14Result{SameTC: runs[0], SeparateTC: runs[1]}, nil
 }
 
 func fig14Run(opt Options, separate bool) []Fig14Series {
-	// Span the whole machine (see fig13Run).
-	sys := Malbec(opt.Nodes)
-	prof := sys.Prof
-	prof.Taper = 0.25
-	prof.QoS = qosMinBandwidth()
-	net := fabric.NewSharded(topology.MustNew(sys.Topo), prof, opt.Seed, opt.Domains)
+	net := qosNetwork(opt, qosMinBandwidth())
 
 	half := opt.Nodes / 2
 	j1Nodes, j2Nodes := placement.Split(opt.Nodes, half, placement.Interleaved, nil)
@@ -362,5 +405,3 @@ func (r Fig14Result) Result() *results.Result {
 	add("separate-tc", r.SeparateTC)
 	return res
 }
-
-func (r Fig14Result) String() string { return results.TextString(r.Result()) }

@@ -100,8 +100,6 @@ func (r Fig2Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig2Result) String() string { return results.TextString(r.Result()) }
-
 // Fig4Row is one (distance, size) cell of Fig. 4: the latency boxplot and
 // the streaming bandwidth.
 type Fig4Row struct {
@@ -215,8 +213,6 @@ func (r Fig4Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig4Result) String() string { return results.TextString(r.Result()) }
-
 func sizeName(s int64) string {
 	switch {
 	case s >= 1<<20:
@@ -290,5 +286,3 @@ func (r Fig5Result) Result() *results.Result {
 	}
 	return res
 }
-
-func (r Fig5Result) String() string { return results.TextString(r.Result()) }

@@ -156,5 +156,3 @@ func (r Fig6Result) Result() *results.Result {
 	}
 	return res
 }
-
-func (r Fig6Result) String() string { return results.TextString(r.Result()) }

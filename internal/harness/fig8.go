@@ -114,5 +114,3 @@ func (r Fig8Result) Result() *results.Result {
 	}
 	return res
 }
-
-func (r Fig8Result) String() string { return results.TextString(r.Result()) }

@@ -178,8 +178,6 @@ func (r Fig9Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig9Result) String() string { return results.TextString(r.Result()) }
-
 // Fig10Variant is one panel of Fig. 10: the distribution of all heatmap
 // elements for a given allocation policy.
 type Fig10Variant struct {
@@ -243,8 +241,6 @@ func (r Fig10Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig10Result) String() string { return results.TextString(r.Result()) }
-
 // Fig11Result is the full-system heatmap of Fig. 11: applications under
 // congestion using all nodes of Shandy, random allocation, with N.A.
 // entries where MILC/HPCG cannot run (non-power-of-two victim node count).
@@ -270,5 +266,3 @@ func Fig11FullScale(opt Options) Fig11Result {
 func (r Fig11Result) Result() *results.Result {
 	return Fig9Result{Columns: r.Columns, Rows: r.Rows}.Result()
 }
-
-func (r Fig11Result) String() string { return results.TextString(r.Result()) }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -29,7 +30,7 @@ func TestFig2Shape(t *testing.T) {
 	if p99 := s.Percentile(99); p99 > 410 {
 		t.Errorf("p99 = %.1f ns, want <= 410", p99)
 	}
-	if !strings.Contains(r.String(), "median") {
+	if !strings.Contains(results.TextString(r.Result()), "median") {
 		t.Error("render missing median row")
 	}
 }
@@ -188,7 +189,7 @@ func TestFig9Shape(t *testing.T) {
 	if inc90 <= inc10 {
 		t.Errorf("impact should grow with aggressor share: 10%%=%.1f 90%%=%.1f", inc10, inc90)
 	}
-	if !strings.Contains(r.String(), "incast") {
+	if !strings.Contains(results.TextString(r.Result()), "incast") {
 		t.Error("render missing aggressor labels")
 	}
 }
@@ -211,7 +212,7 @@ func TestFig11NAandScale(t *testing.T) {
 	if !sawNA {
 		t.Error("expected N.A. cells for MILC/HPCG at non-power-of-two counts")
 	}
-	if !strings.Contains(r.String(), "N.A.") {
+	if !strings.Contains(results.TextString(r.Result()), "N.A.") {
 		t.Error("render missing N.A. markers")
 	}
 }
@@ -241,7 +242,10 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	r := Fig13TrafficClasses(Options{Nodes: 24, Seed: 3})
+	r, err := Fig13TrafficClasses(Options{Nodes: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Paper: same TC ~2.85x, separate TC ~1.15x.
 	if r.SameImpact < 1.3 {
 		t.Errorf("same-TC impact = %.2f, want >= 1.3", r.SameImpact)
@@ -258,7 +262,10 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	r := Fig14Bandwidth(Options{Nodes: 24, Seed: 3})
+	r, err := Fig14Bandwidth(Options{Nodes: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	same, sep := r.OverlapShares()
 	// Separate TCs: the 80%/10%-min config splits ~80/20 (the spare 10%
 	// goes to the lowest-share class).

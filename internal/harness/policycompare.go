@@ -188,5 +188,3 @@ func (r PolicyCompareResult) Result() *results.Result {
 	}
 	return res
 }
-
-func (r PolicyCompareResult) String() string { return results.TextString(r.Result()) }

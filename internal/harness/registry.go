@@ -34,9 +34,9 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
-// programming errors. The registered Run is wrapped to reject an unknown
-// Options.Fidelity with an error and to stamp result metadata and wall
-// time.
+// programming errors. The registered Run is wrapped to reject negative
+// scale options and an unknown Options.Fidelity with an error, and to
+// stamp result metadata and wall time.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -51,13 +51,19 @@ func Register(e Experiment) {
 	name, desc := e.Name, e.Desc
 	prepare, defaults := e.Prepare, e.DefaultOptions
 	e.Run = func(opt Options) (*results.Result, error) {
+		// Checked before prepare and withDefaults, which pass negative
+		// counts through or overwrite them.
+		if opt.Nodes < 0 || opt.MinIters < 0 || opt.MaxIters < 0 || opt.PPN < 0 {
+			return nil, fmt.Errorf("%s: negative scale option (Nodes %d, MinIters %d, MaxIters %d, PPN %d)",
+				name, opt.Nodes, opt.MinIters, opt.MaxIters, opt.PPN)
+		}
+		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 		if prepare != nil {
 			opt = prepare(opt)
 		}
 		opt = opt.withDefaults(defaults)
-		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
 		start := wallClock.Now()
 		res, err := run(opt)
 		if err != nil {

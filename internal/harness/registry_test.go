@@ -193,6 +193,38 @@ func TestRunRejectsUnknownFidelity(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadOptions drives registered experiments with inputs
+// they cannot run and expects an error rather than a panic or a hang:
+// negative scale counts, machines too small to split into the
+// experiment's jobs, and fluid fidelities on the traffic-class figures,
+// which measure switch queues only packets pass through.
+func TestRunRejectsBadOptions(t *testing.T) {
+	cases := []struct {
+		exp, name string
+		opt       Options
+	}{
+		{"fig2", "iters=-4", Options{MaxIters: -4}},
+		{"fig2", "min-iters=-1", Options{MinIters: -1}},
+		{"fig2", "nodes=-8", Options{Nodes: -8}},
+		{"fig2", "ppn=-2", Options{PPN: -2}},
+		{"topo-compare", "nodes=1", Options{Nodes: 1}},
+		{"topo-compare", "nodes=2", Options{Nodes: 2}},
+		{"fig13", "nodes=2", Options{Nodes: 2}},
+		{"fig13", "nodes=3", Options{Nodes: 3}},
+		{"fig13", "fidelity=flow", Options{Nodes: 16, Fidelity: "flow"}},
+		{"fig13", "fidelity=hybrid", Options{Nodes: 16, Fidelity: "hybrid"}},
+		{"fig14", "fidelity=flow", Options{Nodes: 16, Fidelity: "flow"}},
+		{"fig14", "fidelity=hybrid", Options{Nodes: 16, Fidelity: "hybrid"}},
+	}
+	for _, c := range cases {
+		t.Run(c.exp+"/"+c.name, func(t *testing.T) {
+			if res, err := Lookup(c.exp).Run(c.opt); err == nil {
+				t.Fatalf("Run(%+v) = %v, nil; want an error", c.opt, res)
+			}
+		})
+	}
+}
+
 func TestWithDefaultsClampsMinIters(t *testing.T) {
 	// -iters below an experiment's default MinIters must clamp the
 	// minimum rather than disabling the convergence break.

@@ -67,12 +67,21 @@ type TopoCompareResult struct {
 	Grid Fig9Result
 }
 
+// topoCompareMinNodes is the smallest machine a grid cell can split: a
+// cell leaves the aggressor job two nodes, so fewer than three leave the
+// victim job empty.
+const topoCompareMinNodes = 3
+
 // TopoCompare runs the same victim/aggressor congestion grid (both
 // aggressors, the Fig. 9 splits, linear allocation) across the selected
 // backends via RunGrid. opt.Topo restricts the sweep to one backend; the
 // default sweeps all three with the same machine-size headroom as Fig. 9.
 func TopoCompare(opt Options) (TopoCompareResult, error) {
 	opt = opt.withDefaults(topoCompareDefaults)
+	if opt.Nodes < topoCompareMinNodes {
+		return TopoCompareResult{}, fmt.Errorf("harness: topo-compare needs at least %d nodes, got %d",
+			topoCompareMinNodes, opt.Nodes)
+	}
 	names := TopoNames[:]
 	if opt.Topo != "" {
 		names = []string{opt.Topo}
@@ -98,5 +107,3 @@ func (r TopoCompareResult) Result() *results.Result {
 	}
 	return res
 }
-
-func (r TopoCompareResult) String() string { return results.TextString(r.Result()) }

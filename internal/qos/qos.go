@@ -212,6 +212,7 @@ func (s *PortScheduler) capBlocked(c int, now sim.Time) (bool, sim.Time) {
 // large value when unconstrained. It returns ok=false when nothing is
 // eligible; retry is then the earliest time a cap unblocks (zero when the
 // scheduler is simply empty or credit-bound).
+//
 //simlint:hotpath
 func (s *PortScheduler) Dequeue(now sim.Time, maxWire int) (v any, wire int, class int, ok bool, retry sim.Time) {
 	if s.count == 0 {

@@ -12,9 +12,8 @@ func init() {
 	Register("valiant", NewValiantUGAL)
 }
 
-// MinimalOnly always takes the first minimal path — the
-// Profile.AdaptiveRouting=false behaviour, and the deterministic baseline
-// every comparison starts from.
+// MinimalOnly always takes the first minimal path — the deterministic
+// baseline every comparison starts from.
 type MinimalOnly struct{}
 
 // NewMinimalOnly constructs the minimal-only policy.
@@ -24,6 +23,7 @@ func NewMinimalOnly() Policy { return MinimalOnly{} }
 func (MinimalOnly) Name() string { return "minimal" }
 
 // Choose returns the first cached minimal path.
+//
 //simlint:hotpath
 func (MinimalOnly) Choose(_ topology.Topology, _ Context, minimal []topology.Path,
 	_ LoadReader, _ *sim.RNG) topology.Path {
@@ -46,15 +46,16 @@ func NewSlingshotAdaptive() Policy { return SlingshotAdaptive{} }
 func (SlingshotAdaptive) Name() string { return "adaptive" }
 
 // Choose scores minimal and non-minimal candidates by queue depth.
+//
 //simlint:hotpath
 func (SlingshotAdaptive) Choose(topo topology.Topology, ctx Context,
 	minimal []topology.Path, load LoadReader, rng *sim.RNG) topology.Path {
 	cands := minimal
-	nmax := 4 - len(cands)
+	nmax := topology.RouteCandidates - len(cands)
 	if nmax < 2 {
 		nmax = 2
 	}
-	nonMin := nonMinimalPaths(topo, ctx, rng, nmax)
+	nonMin := topo.NonMinimalPaths(ctx.Arena, ctx.Src, ctx.Dst, rng, nmax)
 
 	bias := ctx.MinimalBias
 	if bias < 1 {
@@ -74,7 +75,7 @@ func (SlingshotAdaptive) Choose(topo topology.Topology, ctx Context,
 		}
 	}
 	if fromArena {
-		// Non-minimal candidates live in the topology's reusable
+		// Non-minimal candidates live in the context's reusable
 		// path-construction arena and are overwritten by the next routing
 		// decision; the packet keeps this path for its whole flight.
 		best = append(topology.Path(nil), best...) //simlint:allocok -- arena copy only when a non-minimal path wins; the steady-state minimal path stays alloc-free
@@ -108,6 +109,7 @@ func NewECMPHash() Policy { return ECMPHash{} }
 func (ECMPHash) Name() string { return "ecmp" }
 
 // Choose hashes the flow identity over the minimal candidates.
+//
 //simlint:hotpath
 func (ECMPHash) Choose(_ topology.Topology, ctx Context, minimal []topology.Path,
 	_ LoadReader, _ *sim.RNG) topology.Path {
@@ -149,6 +151,7 @@ const ugalDetourBias = 2.0
 
 // Choose compares the best minimal path against up to two random-
 // intermediate detours by queue-depth cost.
+//
 //simlint:hotpath
 func (ValiantUGAL) Choose(topo topology.Topology, ctx Context,
 	minimal []topology.Path, load LoadReader, rng *sim.RNG) topology.Path {
@@ -163,7 +166,7 @@ func (ValiantUGAL) Choose(topo topology.Topology, ctx Context,
 	if bias < ugalDetourBias {
 		bias = ugalDetourBias
 	}
-	detours := nonMinimalPaths(topo, ctx, rng, 2)
+	detours := topo.NonMinimalPaths(ctx.Arena, ctx.Src, ctx.Dst, rng, 2)
 	fromArena := false
 	for _, c := range detours {
 		if cost := PathCost(load, c, bias); cost < bestCost {

@@ -32,6 +32,7 @@ func ctxFor(topo topology.Topology, src, dst topology.SwitchID) Context {
 		Src: src, Dst: dst,
 		SrcNode: first, DstNode: dfirst,
 		FlowID: 1, MinimalBias: 2,
+		Arena: new(topology.PathArena),
 	}
 }
 
@@ -101,11 +102,11 @@ func TestAdaptiveCopiesArenaPaths(t *testing.T) {
 	// Overwrite the arena with fresh routing decisions; a non-copied
 	// result would be clobbered.
 	for i := 0; i < 8; i++ {
-		topo.NonMinimalPaths(dst, src, sim.NewRNG(uint64(i)), 4)
+		topo.NonMinimalPaths(ctx.Arena, dst, src, sim.NewRNG(uint64(i)), 4)
 	}
 	for i := range got {
 		if got[i] != snapshot[i] {
-			t.Fatalf("chosen path aliases the topology arena: %v vs %v", got, snapshot)
+			t.Fatalf("chosen path aliases the routing arena: %v vs %v", got, snapshot)
 		}
 	}
 }
@@ -172,7 +173,8 @@ func TestValiantDetoursUnderLoadAndCopies(t *testing.T) {
 			load.set(m[i], m[i+1], 1<<20)
 		}
 	}
-	got := NewValiantUGAL().Choose(topo, ctxFor(topo, src, dst), min, load, sim.NewRNG(9))
+	ctx := ctxFor(topo, src, dst)
+	got := NewValiantUGAL().Choose(topo, ctx, min, load, sim.NewRNG(9))
 	if !topo.Valid(got) {
 		t.Fatalf("invalid path %v", got)
 	}
@@ -181,11 +183,11 @@ func TestValiantDetoursUnderLoadAndCopies(t *testing.T) {
 	}
 	snapshot := append(topology.Path(nil), got...)
 	for i := 0; i < 8; i++ {
-		topo.NonMinimalPaths(dst, src, sim.NewRNG(uint64(i)), 4)
+		topo.NonMinimalPaths(ctx.Arena, dst, src, sim.NewRNG(uint64(i)), 4)
 	}
 	for i := range got {
 		if got[i] != snapshot[i] {
-			t.Fatalf("detour aliases the topology arena")
+			t.Fatalf("detour aliases the routing arena")
 		}
 	}
 }

@@ -127,6 +127,7 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 // Now) is clamped to Now; this happens only from handlers that compute a
 // zero/negative delay and is harmless because tie-breaking keeps
 // execution order deterministic. The returned event may be cancelled.
+//
 //simlint:hotpath
 func (e *Engine) Schedule(at Time, h Handler, arg int64, data any) *Event {
 	if at < e.now {
@@ -185,6 +186,7 @@ func (e *Engine) Cancel(ev *Event) {
 }
 
 // Step runs the earliest event. It reports false when the queue is empty.
+//
 //simlint:hotpath
 func (e *Engine) Step() bool {
 	if e.count == 0 {

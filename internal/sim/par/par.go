@@ -78,6 +78,7 @@ func NewShard(id int, eng *sim.Engine, shards int) *Shard {
 // to the per-pair mailbox and are merged into dst's engine at the next
 // epoch barrier. at must be at or beyond the current epoch fence — the
 // conservative-lookahead contract.
+//
 //simlint:hotpath
 func (s *Shard) Post(dst *Shard, at sim.Time, h sim.Handler, arg int64, data any) {
 	if dst == s {
@@ -97,6 +98,7 @@ func (s *Shard) Post(dst *Shard, at sim.Time, h sim.Handler, arg int64, data any
 // identically for every worker count. Drained mailboxes are zeroed (the
 // Data words must not pin dead objects) and truncated with their
 // capacity kept.
+//
 //simlint:hotpath
 func (s *Shard) drain(all []*Shard) {
 	buf := s.inbox.m[:0]
@@ -270,6 +272,7 @@ func (c *Coordinator) step(deadline sim.Time) bool {
 // dispatch loop of the parallel driver — a spine root alongside
 // Engine.Step/Schedule (the simlint call-graph analysis anchors the
 // mailbox exchange path here).
+//
 //simlint:hotpath
 func (c *Coordinator) runPhase(s *Shard) {
 	switch c.phase {
@@ -320,19 +323,26 @@ func (c *Coordinator) RunWhile(cond func() bool) {
 }
 
 // withPool runs f with the worker pool up, tearing it down after. The
-// pool lives only inside a drive call: an idle coordinator holds no
-// goroutines.
+// pool lives only inside a drive call: teardown waits for every worker
+// to exit, so an idle coordinator holds no goroutines.
 func (c *Coordinator) withPool(f func()) {
 	if c.workers <= 1 || c.start != nil {
 		f()
 		return
 	}
-	c.start = make(chan struct{}, c.workers)
+	start := make(chan struct{}, c.workers)
+	c.start = start
+	var exited sync.WaitGroup
+	exited.Add(c.workers)
 	for i := 0; i < c.workers; i++ {
-		go c.work()
+		go func() {
+			defer exited.Done()
+			c.work(start)
+		}()
 	}
 	defer func() {
-		close(c.start)
+		close(start)
+		exited.Wait()
 		c.start = nil
 	}()
 	f()
@@ -359,9 +369,11 @@ func (c *Coordinator) each(phase int) {
 }
 
 // work is one pool worker: per token, claim shards off the cursor until
-// none remain, then report the barrier.
-func (c *Coordinator) work() {
-	for range c.start {
+// none remain, then report the barrier. It takes the token channel as an
+// argument rather than reading c.start, which teardown clears — possibly
+// before a late-scheduled worker first looks.
+func (c *Coordinator) work(start <-chan struct{}) {
+	for range start {
 		n := int64(len(c.Shards))
 		for {
 			i := c.cursor.Add(1) - 1

@@ -2,7 +2,9 @@ package par
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -211,6 +213,28 @@ func TestRunWhileStopsBetweenEpochs(t *testing.T) {
 	}
 	if n < 2 {
 		t.Fatalf("cond evaluated %d times, want before and after the epoch", n)
+	}
+}
+
+// TestPoolTeardownLeavesNoGoroutines drives many empty runs on a pooled
+// coordinator. Each drive call must take its workers down with it, even a
+// worker first scheduled after the call already returned, so the
+// goroutine count settles back to its baseline.
+func TestPoolTeardownLeavesNoGoroutines(t *testing.T) {
+	_, _, _, c := newRig(4, 100*sim.Nanosecond, 4)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 2000; i++ {
+		c.RunWhile(func() bool { return false })
+	}
+	// A worker that has signalled its exit may still be unwinding, so
+	// wait (bounded) for the count to settle rather than sampling once.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 2000 empty runs, want the baseline %d",
+				runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
 

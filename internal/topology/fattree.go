@@ -84,7 +84,6 @@ func (c FatTreeConfig) Build() (Topology, error) { return NewFatTree(c) }
 type FatTree struct {
 	adjacency
 	linkTable
-	PathArena
 	Cfg   FatTreeConfig
 	nodes int
 	// Switch-ID layout: edges [0, edges), aggs [edges, edges+aggs),
@@ -192,7 +191,7 @@ func (f *FatTree) SwitchNodes(s SwitchID) (first NodeID, count int) {
 // link when adjacent (the fabric only routes between node switches).
 func (f *FatTree) MinimalPaths(src, dst SwitchID, max int) []Path {
 	if max <= 0 {
-		max = 4
+		max = RouteCandidates
 	}
 	if src == dst {
 		return []Path{{src}}
@@ -243,19 +242,12 @@ func (f *FatTree) arenaUpDown(ar *PathArena, src, dst SwitchID, rng *sim.RNG) Pa
 	return ar.arenaPath(src, f.aggSwitch(ps, a), f.coreSwitch(a, c), f.aggSwitch(pd, a), dst)
 }
 
-// NonMinimalPaths enumerates Valiant-style detours in the topology's
-// embedded arena (copy to retain; single-goroutine use only — see
-// NonMinimalPathsIn).
-func (f *FatTree) NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path {
-	return f.NonMinimalPathsIn(&f.PathArena, src, dst, rng, max)
-}
-
-// NonMinimalPathsIn enumerates up to max Valiant-style detours in the
+// NonMinimalPaths enumerates up to max Valiant-style detours in the
 // caller's arena: down to a random intermediate edge switch, then
 // minimally on to the destination. rng draws follow a fixed order so
 // replays are deterministic. The returned paths live in the arena, which
 // the next call on it reuses.
-func (f *FatTree) NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
+func (f *FatTree) NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
 	if max <= 0 {
 		max = 2
 	}

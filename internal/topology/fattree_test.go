@@ -164,7 +164,8 @@ func TestFatTreeMinimalPaths(t *testing.T) {
 func TestFatTreeNonMinimalPaths(t *testing.T) {
 	f := smallFT()
 	rng := sim.NewRNG(3)
-	ps := f.NonMinimalPaths(0, 3, rng, 2)
+	var ar PathArena
+	ps := f.NonMinimalPaths(&ar, 0, 3, rng, 2)
 	if len(ps) == 0 {
 		t.Fatal("no non-minimal paths")
 	}
@@ -178,12 +179,12 @@ func TestFatTreeNonMinimalPaths(t *testing.T) {
 	}
 	// Nil rng is the deterministic first choice, and replays with equal
 	// seeds reproduce the same candidates (the RNG-stream contract).
-	a := f.NonMinimalPaths(0, 3, nil, 2)
+	a := f.NonMinimalPaths(&ar, 0, 3, nil, 2)
 	aCopy := make([]Path, len(a))
 	for i, p := range a {
 		aCopy[i] = append(Path(nil), p...)
 	}
-	b := f.NonMinimalPaths(0, 3, nil, 2)
+	b := f.NonMinimalPaths(&ar, 0, 3, nil, 2)
 	if len(aCopy) != len(b) {
 		t.Fatalf("nil-rng replay differs: %v vs %v", aCopy, b)
 	}

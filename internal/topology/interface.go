@@ -17,11 +17,11 @@ import "repro/internal/sim"
 //     neighbor list (the order Neighbors reports) for the lifetime of the
 //     topology, or -1 when not adjacent. The routing hot path does zero map
 //     lookups per hop.
-//   - Arena reuse: NonMinimalPaths builds its candidates in a per-topology
-//     scratch arena that the next call on the same topology overwrites.
-//     Callers must copy any path they retain past their routing decision,
-//     and must not route on a shared topology from multiple goroutines
-//     (each fabric.Network builds its own).
+//   - Arena reuse: NonMinimalPaths builds its candidates in the caller's
+//     PathArena, which the next call on that arena overwrites. Callers
+//     must copy any path they retain past their routing decision; the
+//     topology itself is immutable, so callers with their own arenas may
+//     route on it from several goroutines.
 //   - RNG-stream stability: MinimalPaths is deterministic and RNG-free (so
 //     it can be cached); NonMinimalPaths draws from rng in a fixed,
 //     input-determined order, and a nil rng yields deterministic
@@ -46,18 +46,13 @@ type Topology interface {
 	NeighborCount(SwitchID) int
 	Neighbors(SwitchID) []SwitchID
 
-	// Routing candidates. NonMinimalPaths builds in the topology's own
-	// embedded arena; NonMinimalPathsIn builds in a caller-owned arena, so
-	// several single-threaded consumers (e.g. the per-domain networks of a
-	// sharded fabric) can route on one shared immutable topology without
-	// sharing scratch state.
+	// Routing candidates. NonMinimalPaths builds in the caller's arena.
 	MinimalPaths(src, dst SwitchID, max int) []Path
-	NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path
-	NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path
+	NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path
 
 	// Partition returns the backend's domain decomposition for
 	// conservative parallel simulation (see Partition's doc).
-	Partition(domains int) Partition
+	Partition() Partition
 
 	// Metrics and validation.
 	Valid(Path) bool
@@ -80,6 +75,25 @@ func MustBuild(b Builder) Topology {
 		panic(err)
 	}
 	return t
+}
+
+// RouteCandidates is how many paths a source switch weighs per routing
+// decision (§II-C: up to four minimal and non-minimal candidates). The
+// fabric and the fluid engine cache this many minimal paths per switch
+// pair.
+const RouteCandidates = 4
+
+// LinkSlotBase numbers t's directed switch-to-switch links densely,
+// switch by switch in NeighborIndex order: the link from a to its
+// neighbor b has slot base[a] + NeighborIndex(a, b), and base[Switches()]
+// is the number of slots. Per-link tables (the fabric's load snapshot and
+// background load, the fluid engine's segments) all index by it.
+func LinkSlotBase(t Topology) []int32 {
+	base := make([]int32, t.Switches()+1)
+	for s := 0; s < t.Switches(); s++ {
+		base[s+1] = base[s] + int32(t.NeighborCount(SwitchID(s)))
+	}
+	return base
 }
 
 // adjacency is the slice-indexed neighbor structure shared by every
@@ -319,11 +333,8 @@ func linkMultiplicity(lk int) int {
 // paths are built in pathNodes and collected in outPaths, so steady-state
 // routing allocates nothing. Both are reset on every call, which is why
 // NonMinimalPaths results must be copied if retained — and why one arena
-// must not serve routing queries from multiple goroutines. Every backend
-// embeds one (backing its NonMinimalPaths convenience method); consumers
-// that need private scratch over a shared topology — the per-domain
-// networks of a sharded fabric — own their own and route through
-// NonMinimalPathsIn.
+// must not serve routing queries from multiple goroutines. The caller
+// owns it: a fabric keeps one per simulation domain.
 type PathArena struct {
 	pathNodes []SwitchID
 	outPaths  []Path

@@ -21,16 +21,11 @@ import (
 //   - HyperX: one unit per dimension-0 row (rack-internal electrical
 //     rows stay whole; the cut is the optical higher-dimension wiring).
 //
-// The natural unit count — not the requested domain count — fixes the
-// decomposition: Partition(d) for 0 < d < units folds unit u into
-// domain u mod d, and d <= 0 (or d >= units) keeps the natural units
-// unfolded. A parallel fabric always simulates the natural units and
-// varies only its worker count, so results are bit-identical for every
-// worker budget; the folded form exists for partition-shape tests and
-// external consumers.
+// The natural units are the domains: a parallel fabric always simulates
+// them and varies only its worker count, so results are bit-identical
+// for every worker budget.
 type Partition struct {
-	// Domains is the domain count (== the natural unit count unless the
-	// requested fold was smaller).
+	// Domains is the domain count: the backend's natural unit count.
 	Domains int
 	// Of maps each switch to its domain, densely 0..Domains-1.
 	Of []int
@@ -55,18 +50,10 @@ func kindLatency(k LinkKind) sim.Time {
 	return phy.OpticalDelay()
 }
 
-// finishPartition folds the natural per-switch unit assignment down to
-// the requested domain count and derives the cut and its latency bound.
-func finishPartition(links []Link, of []int, units, domains int) Partition {
-	if domains <= 0 || domains > units {
-		domains = units
-	}
-	if domains < units {
-		for s := range of {
-			of[s] %= domains
-		}
-	}
-	p := Partition{Domains: domains, Of: of, MinCutLatency: phy.OpticalDelay()}
+// finishPartition derives the cut and its latency bound from the
+// per-switch unit assignment.
+func finishPartition(links []Link, of []int, units int) Partition {
+	p := Partition{Domains: units, Of: of, MinCutLatency: phy.OpticalDelay()}
 	first := true
 	for _, l := range links {
 		if l.Kind == EdgeLink || of[l.A] == of[l.B] {
@@ -82,17 +69,17 @@ func finishPartition(links []Link, of []int, units, domains int) Partition {
 }
 
 // Partition decomposes the Dragonfly into one domain per group.
-func (d *Dragonfly) Partition(domains int) Partition {
+func (d *Dragonfly) Partition() Partition {
 	of := make([]int, d.sw)
 	for s := range of {
 		of[s] = s / d.Cfg.SwitchesPerGroup
 	}
-	return finishPartition(d.links, of, d.Cfg.Groups, domains)
+	return finishPartition(d.links, of, d.Cfg.Groups)
 }
 
 // Partition decomposes the fat-tree into one domain per pod, folding
 // core plane a into pod a mod Pods so every switch has a home.
-func (f *FatTree) Partition(domains int) Partition {
+func (f *FatTree) Partition() Partition {
 	units := f.Cfg.Pods
 	of := make([]int, f.sw)
 	for s := range of {
@@ -106,16 +93,16 @@ func (f *FatTree) Partition(domains int) Partition {
 			of[s] = plane % units
 		}
 	}
-	return finishPartition(f.links, of, units, domains)
+	return finishPartition(f.links, of, units)
 }
 
 // Partition decomposes the HyperX into one domain per dimension-0 row
 // (the contiguous ID runs of length Dims[0]).
-func (h *HyperX) Partition(domains int) Partition {
+func (h *HyperX) Partition() Partition {
 	row := h.Cfg.Dims[0]
 	of := make([]int, h.sw)
 	for s := range of {
 		of[s] = s / row
 	}
-	return finishPartition(h.links, of, h.sw/row, domains)
+	return finishPartition(h.links, of, h.sw/row)
 }

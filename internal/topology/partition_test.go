@@ -56,7 +56,7 @@ func checkPartition(t *testing.T, topo Topology, p Partition, wantDomains int) {
 
 func TestPartitionDragonfly(t *testing.T) {
 	d := MustNew(Config{Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 2, GlobalPerPair: 2})
-	p := d.Partition(0)
+	p := d.Partition()
 	checkPartition(t, d, p, 4)
 	for s := range p.Of {
 		if p.Of[s] != s/4 {
@@ -67,11 +67,6 @@ func TestPartitionDragonfly(t *testing.T) {
 	if p.MinCutLatency != phy.OpticalDelay() {
 		t.Fatalf("MinCutLatency = %v, want the optical delay", p.MinCutLatency)
 	}
-	// Folding to two domains merges alternating groups and keeps the
-	// invariants.
-	checkPartition(t, d, d.Partition(2), 2)
-	// More domains than natural units clamps to the units.
-	checkPartition(t, d, d.Partition(64), 4)
 }
 
 func TestPartitionFatTree(t *testing.T) {
@@ -79,7 +74,7 @@ func TestPartitionFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.Partition(0)
+	p := f.Partition()
 	checkPartition(t, f, p, 4)
 	// In-pod wiring never crosses: the cut is the optical agg-core mesh.
 	if p.MinCutLatency != phy.OpticalDelay() {
@@ -90,14 +85,13 @@ func TestPartitionFatTree(t *testing.T) {
 			t.Fatalf("cut link %d is %v, want only global links", id, k)
 		}
 	}
-	checkPartition(t, f, f.Partition(2), 2)
 
 	// The two-level leaf-spine is one pod: a single cutless domain.
 	ls, err := NewFatTree(FatTreeConfig{Pods: 1, EdgePerPod: 4, AggPerPod: 2, NodesPerEdge: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p = ls.Partition(0)
+	p = ls.Partition()
 	checkPartition(t, ls, p, 1)
 	if len(p.Cut) != 0 || p.MinCutLatency <= 0 {
 		t.Fatalf("single-domain cut = %d links, latency %v; want none and a positive bound", len(p.Cut), p.MinCutLatency)
@@ -109,7 +103,7 @@ func TestPartitionHyperX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := h.Partition(0)
+	p := h.Partition()
 	checkPartition(t, h, p, 6)
 	// Dimension-0 rows stay whole, so only optical higher-dimension links
 	// cross.
@@ -121,5 +115,4 @@ func TestPartitionHyperX(t *testing.T) {
 	if p.MinCutLatency != phy.OpticalDelay() {
 		t.Fatalf("MinCutLatency = %v, want the optical delay", p.MinCutLatency)
 	}
-	checkPartition(t, h, h.Partition(3), 3)
 }

@@ -61,7 +61,7 @@ func (d *Dragonfly) compose(segs ...Path) Path {
 // link (these are the distinct minimal routes adaptive routing can weigh).
 func (d *Dragonfly) MinimalPaths(src, dst SwitchID, max int) []Path {
 	if max <= 0 {
-		max = 4
+		max = RouteCandidates
 	}
 	if src == dst {
 		return []Path{{src}}
@@ -135,21 +135,13 @@ func (d *Dragonfly) arenaIntraFirst(ar *PathArena, a, b SwitchID) Path {
 	return ar.arenaPath(a, m1, b)
 }
 
-// NonMinimalPaths enumerates up to max non-minimal (Valiant-style) paths
-// in the topology's embedded arena: callers must copy any path they
-// retain past their routing decision, and must not route on a shared
-// Dragonfly from multiple goroutines (see NonMinimalPathsIn).
-func (d *Dragonfly) NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path {
-	return d.NonMinimalPathsIn(&d.PathArena, src, dst, rng, max)
-}
-
-// NonMinimalPathsIn enumerates up to max non-minimal (Valiant-style)
+// NonMinimalPaths enumerates up to max non-minimal (Valiant-style)
 // paths in the caller's arena. Within a group the detour is via a random
 // third switch of the group; across groups it is via a random
 // intermediate group. rng supplies the randomization; a nil rng yields
 // deterministic (first-choice) detours. The returned paths live in the
 // arena, which the next call on it reuses.
-func (d *Dragonfly) NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
+func (d *Dragonfly) NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
 	if max <= 0 {
 		max = 2
 	}

@@ -148,14 +148,12 @@ func (c Config) gridDims() (rows, cols int, err error) {
 	return rows, c.SwitchesPerGroup / rows, nil
 }
 
-// Dragonfly is an immutable built topology. The embedded adjacency,
-// linkTable and PathArena provide the dense neighbor tables, the link
-// store, Valid/Diameter, and the NonMinimalPaths construction arena
-// shared by every backend.
+// Dragonfly is an immutable built topology. The embedded adjacency and
+// linkTable provide the dense neighbor tables, the link store and
+// Valid/Diameter shared by every backend.
 type Dragonfly struct {
 	adjacency
 	linkTable
-	PathArena
 	Cfg   Config
 	nodes int
 	// rows/cols of the intra-group grid (1 x SwitchesPerGroup for

@@ -212,8 +212,9 @@ func TestDiameterProperty(t *testing.T) {
 func TestNonMinimalPaths(t *testing.T) {
 	d := small()
 	rng := sim.NewRNG(1)
+	var ar PathArena
 	// Same group: detours via third switch.
-	ps := d.NonMinimalPaths(0, 1, rng, 2)
+	ps := d.NonMinimalPaths(&ar, 0, 1, rng, 2)
 	if len(ps) != 2 {
 		t.Fatalf("same-group non-minimal: %v", ps)
 	}
@@ -223,7 +224,7 @@ func TestNonMinimalPaths(t *testing.T) {
 		}
 	}
 	// Cross group: via intermediate group.
-	ps = d.NonMinimalPaths(0, 15, rng, 2)
+	ps = d.NonMinimalPaths(&ar, 0, 15, rng, 2)
 	if len(ps) == 0 {
 		t.Fatal("no cross-group non-minimal paths")
 	}
@@ -249,7 +250,8 @@ func TestNonMinimalPaths(t *testing.T) {
 
 func TestNonMinimalTwoGroups(t *testing.T) {
 	d := MustNew(Config{Groups: 2, SwitchesPerGroup: 4, NodesPerSwitch: 2, GlobalPerPair: 4})
-	ps := d.NonMinimalPaths(0, 7, sim.NewRNG(2), 3)
+	var ar PathArena
+	ps := d.NonMinimalPaths(&ar, 0, 7, sim.NewRNG(2), 3)
 	for _, p := range ps {
 		if !d.Valid(p) {
 			t.Errorf("invalid alt-gateway path %v", p)
@@ -386,6 +388,59 @@ func TestValidRejects(t *testing.T) {
 				t.Errorf("Valid accepted non-adjacent hop 0-%d", s)
 			}
 			found = true
+		}
+	}
+}
+
+// TestLinkSlotBase pins the directed-link numbering every per-link table
+// indexes by, on all three backends: the rows of consecutive switches
+// tile 0..n-1 with one slot per neighbor, every slot names exactly one
+// directed switch-to-switch link, and its offset within its switch's row
+// is that link's NeighborIndex.
+func TestLinkSlotBase(t *testing.T) {
+	for _, topo := range []Topology{small(), smallFT(), smallHX()} {
+		sw := topo.Switches()
+		base := LinkSlotBase(topo)
+		if len(base) != sw+1 {
+			t.Fatalf("%s: %d bases for %d switches", topo.Kind(), len(base), sw)
+		}
+		next := 0
+		for a := 0; a < sw; a++ {
+			if int(base[a]) != next {
+				t.Fatalf("%s: switch %d starts at slot %d, want %d", topo.Kind(), a, base[a], next)
+			}
+			next += topo.NeighborCount(SwitchID(a))
+		}
+		if int(base[sw]) != next {
+			t.Fatalf("%s: %d slots, want %d", topo.Kind(), base[sw], next)
+		}
+		owner := make(map[[2]SwitchID]int32, next)
+		a := 0
+		for slot := int32(0); slot < base[sw]; slot++ {
+			for slot >= base[a+1] {
+				a++
+			}
+			i := int(slot - base[a])
+			b := topo.Neighbors(SwitchID(a))[i]
+			if got := topo.NeighborIndex(SwitchID(a), b); got != i {
+				t.Fatalf("%s: slot %d is %d->%d at offset %d, but NeighborIndex = %d",
+					topo.Kind(), slot, a, b, i, got)
+			}
+			key := [2]SwitchID{SwitchID(a), b}
+			if prev, dup := owner[key]; dup {
+				t.Fatalf("%s: link %d->%d has slots %d and %d", topo.Kind(), a, b, prev, slot)
+			}
+			owner[key] = slot
+		}
+		for _, l := range topo.Links() {
+			if l.Kind == EdgeLink {
+				continue
+			}
+			for _, key := range [][2]SwitchID{{l.A, l.B}, {l.B, l.A}} {
+				if _, ok := owner[key]; !ok {
+					t.Fatalf("%s: link %d (%d->%d) has no slot", topo.Kind(), l.ID, key[0], key[1])
+				}
+			}
 		}
 	}
 }
