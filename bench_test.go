@@ -187,11 +187,11 @@ func BenchmarkTableIApplications(b *testing.B) {
 func BenchmarkAblationCongestionControl(b *testing.B) {
 	kinds := []struct {
 		name string
-		cc   congestion.Params
+		cc   congestion.Builder
 	}{
-		{"slingshot", congestion.DefaultParams(congestion.Slingshot)},
-		{"ecn", congestion.DefaultParams(congestion.ECNLike)},
-		{"none", congestion.DefaultParams(congestion.None)},
+		{"slingshot", congestion.BuilderFor(congestion.DefaultParams(congestion.Slingshot))},
+		{"ecn", congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))},
+		{"none", congestion.BuilderFor(congestion.DefaultParams(congestion.None))},
 	}
 	base := harness.Crystal(72)
 	for _, k := range kinds {

@@ -30,6 +30,10 @@ func main() {
 		iters  = flag.Int("iters", 10, "max iterations per victim")
 	)
 	flag.Parse()
+	if *nodes < harness.MinCellNodes {
+		fmt.Fprintf(os.Stderr, "gpcnet: -nodes must be at least %d, got %d\n", harness.MinCellNodes, *nodes)
+		os.Exit(2)
+	}
 
 	var sys harness.System
 	switch *system {

@@ -67,7 +67,6 @@ func PacketHotPathFatTree(b *testing.B) {
 		Pods: 2, EdgePerPod: 2, AggPerPod: 2, CorePerAgg: 2, NodesPerEdge: 8,
 	})
 	prof := fabric.FatTree100GProfile()
-	prof.Topo = nil // the benchmark supplies its own small instance
 	prof.SwitchJitter = false
 	net := fabric.New(topo, prof, 5)
 	delivered := 0

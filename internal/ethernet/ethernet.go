@@ -112,10 +112,3 @@ func Efficiency(payload int, m Mode) float64 {
 	}
 	return float64(payload) / float64(WireBytes(payload, m))
 }
-
-// DSCP is the Differentiated Services Code Point carried in the IP header,
-// used by Rosetta to assign packets to traffic classes (§II-E).
-type DSCP uint8
-
-// MaxDSCP is the largest codepoint (6 bits).
-const MaxDSCP DSCP = 63

@@ -17,15 +17,14 @@ import (
 	"repro/internal/topology"
 )
 
-// fatTree25G is the comparison cluster dialled down to 25 Gb/s links
-// with the Swift-style delay controller.
-func fatTree25G(nodes int) Profile {
+// fatTree25G builds the comparison cluster at the given size, dialled
+// down to 25 Gb/s links, with each NIC's controller built by cc.
+func fatTree25G(nodes int, cc congestion.Builder) *Network {
 	p := FatTree100GProfile()
-	p.Topo = topology.FatTreeFor(nodes)
-	p.CC = congestion.DefaultParams(congestion.Delay)
+	p.CC = cc
 	p.EdgeBits = 25e9
 	p.FabricBits = 25e9
-	return p
+	return New(topology.MustBuild(topology.FatTreeFor(nodes)), p, 7)
 }
 
 // uncalibrated hides the CalibrateTarget method behind the plain
@@ -69,9 +68,9 @@ func streamQuiet(t *testing.T, n *Network) (sim.Time, congestion.Controller) {
 }
 
 func TestQuietRTTTracksTopology(t *testing.T) {
-	prof := fatTree25G(1024)
-	n := New(topology.MustBuild(prof.Topo), prof, 7)
-	win := prof.CC.InitialWindow
+	delay := congestion.DefaultParams(congestion.Delay)
+	n := fatTree25G(1024, congestion.BuilderFor(delay))
+	win := delay.InitialWindow
 	near := n.quietRTT(0, 1, win)                                // same switch
 	far := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win) // cross-pod
 	if near >= far {
@@ -80,15 +79,15 @@ func TestQuietRTTTracksTopology(t *testing.T) {
 	// The cross-pod quiet RTT exceeds the fixed floor — the regime where
 	// an uncalibrated delay controller misreads the topology as
 	// congestion.
-	if far <= prof.CC.TargetRTT {
-		t.Errorf("cross-pod quiet RTT %v not above the fixed target %v; the fixture lost its point", far, prof.CC.TargetRTT)
+	if far <= delay.TargetRTT {
+		t.Errorf("cross-pod quiet RTT %v not above the fixed target %v; the fixture lost its point", far, delay.TargetRTT)
 	}
 	// Determinism: the oracle is pure path shape, so asking twice (and on
 	// a fresh identical network) gives identical answers.
 	if again := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); again != far {
 		t.Errorf("quiet RTT unstable: %v then %v", far, again)
 	}
-	if other := New(topology.MustBuild(prof.Topo), prof, 7).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
+	if other := fatTree25G(1024, congestion.BuilderFor(delay)).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
 		t.Errorf("quiet RTT differs across identical builds: %v vs %v", far, other)
 	}
 }
@@ -97,21 +96,20 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// Calibrated controllers on the big tree: the raised per-destination
 	// target absorbs the quiet base RTT, so a quiet stream sees no cuts
 	// and keeps the full window.
-	bigProf := fatTree25G(1024)
-	big := New(topology.MustBuild(bigProf.Topo), bigProf, 7)
+	delay := congestion.DefaultParams(congestion.Delay)
+	big := fatTree25G(1024, congestion.BuilderFor(delay))
 	bigFinish, cc := streamQuiet(t, big)
 	if s := cc.Stats().TotalSignals; s != 0 {
 		t.Errorf("calibrated controller cut %d times on a quiet path, want 0", s)
 	}
 	dst := topology.NodeID(big.Topo.Nodes() - 1)
-	if w := cc.Window(dst); w != big.Prof.CC.InitialWindow {
-		t.Errorf("calibrated window = %d, want the full %d", w, big.Prof.CC.InitialWindow)
+	if w := cc.Window(dst); w != delay.InitialWindow {
+		t.Errorf("calibrated window = %d, want the full %d", w, delay.InitialWindow)
 	}
 
 	// The same stream on a small tree finishes in about the same time:
 	// throughput is scale-invariant once the target tracks the topology.
-	smallProf := fatTree25G(64)
-	small := New(topology.MustBuild(smallProf.Topo), smallProf, 7)
+	small := fatTree25G(64, congestion.BuilderFor(delay))
 	smallFinish, _ := streamQuiet(t, small)
 	if ratio := float64(bigFinish) / float64(smallFinish); ratio > 1.1 {
 		t.Errorf("calibrated stream slows down %.2fx from 64 to 1024 nodes, want scale-invariance", ratio)
@@ -120,15 +118,13 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// An uncalibrated controller on the same big tree reads the base RTT
 	// as standing queue: repeated spurious cuts collapse the window and
 	// the quiet stream runs several times slower.
-	prof := fatTree25G(1024)
-	prof.CCBuilder = uncalibrated(prof.CC)
-	uncal := New(topology.MustBuild(prof.Topo), prof, 7)
+	uncal := fatTree25G(1024, uncalibrated(delay))
 	uncalFinish, uncc := streamQuiet(t, uncal)
 	if s := uncc.Stats().TotalSignals; s == 0 {
 		t.Fatalf("uncalibrated controller saw no delay cuts; the over-throttle regime is gone")
 	}
-	if w := uncc.Window(dst); w > prof.CC.InitialWindow/4 {
-		t.Errorf("uncalibrated window = %d, expected collapse below %d", w, prof.CC.InitialWindow/4)
+	if w := uncc.Window(dst); w > delay.InitialWindow/4 {
+		t.Errorf("uncalibrated window = %d, expected collapse below %d", w, delay.InitialWindow/4)
 	}
 	if ratio := float64(uncalFinish) / float64(bigFinish); ratio < 2 {
 		t.Errorf("uncalibrated stream only %.2fx slower than calibrated, want >= 2x", ratio)

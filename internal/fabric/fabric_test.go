@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -250,7 +251,7 @@ func TestIncastTriggersSlingshotCC(t *testing.T) {
 	paced := false
 	for s := 4; s < 40; s++ {
 		if n.CC(topology.NodeID(s)).PaceGap(victimDst) > 0 ||
-			n.CC(topology.NodeID(s)).Window(victimDst) < SlingshotProfile().CC.InitialWindow {
+			n.CC(topology.NodeID(s)).Window(victimDst) < congestion.DefaultParams(congestion.Slingshot).InitialWindow {
 			paced = true
 			break
 		}

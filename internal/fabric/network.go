@@ -164,16 +164,12 @@ func (n *Network) build() {
 			firstNode: int(first),
 		}
 	}
-	newCC := prof.CCBuilder
-	if newCC == nil {
-		newCC = congestion.BuilderFor(prof.CC)
-	}
 	n.nics = make([]*NIC, topo.Nodes())
 	for i := range n.nics {
 		n.nics[i] = &NIC{
 			net: n,
 			ID:  topology.NodeID(i),
-			cc:  newCC(),
+			cc:  prof.CC(),
 		}
 	}
 	if len(n.nics) > 0 {
@@ -196,14 +192,14 @@ func (n *Network) build() {
 	}
 
 	newSched := func() *qos.PortScheduler {
-		return qos.NewPortScheduler(n.QoS, prof.fabricBits())
+		return qos.NewPortScheduler(n.QoS)
 	}
 	newPhy := func() (*phy.Link, *sim.RNG) {
 		var rng *sim.RNG
 		if prof.FrameBER > 0 {
 			rng = n.rng.Split()
 		}
-		return phy.NewLink(nil, 0, prof.LLR), rng
+		return phy.NewLink(), rng
 	}
 
 	for _, l := range topo.Links() {

@@ -41,24 +41,17 @@ type outPort struct {
 	// SetFidelity; -1 for ports with no slot (NIC injection).
 	bgIdx int32
 
-	// phy models the physical link: lane degrade reduces the effective
-	// bandwidth, and FrameBER>0 injects post-FEC frame errors that LLR
-	// retries (or loses, triggering the NIC end-to-end retry, §II-F).
+	// phy is the physical link's lane state: lane degrade reduces the
+	// effective bandwidth. rng, set only when Profile.FrameBER > 0, draws
+	// the post-FEC frame errors that transmit makes LLR retry (or lose,
+	// triggering the NIC end-to-end retry, §II-F).
 	phy *phy.Link
 	rng *sim.RNG
 
 	busy    bool
 	credits int64
 
-	retryEv *sim.Event // pending cap-retry pump
-	// blockedSince tracks how long the head of the queue has been credit
-	// starved, feeding the deadlock-escape watchdog.
-	blockedSince sim.Time
-	watchdogEv   *sim.Event
-
-	// Stats.
-	TxPackets int64
-	TxBytes   int64
+	watchdogEv *sim.Event // pending deadlock-escape overdraft; nil when disarmed
 }
 
 // creditUnlimited is the credit count used when the receiver can always
@@ -72,16 +65,6 @@ const creditUnlimited = int64(1) << 42
 const watchdogDelay = 500 * sim.Microsecond
 
 // Event handlers (closure-free dispatch): pointer aliases of outPort.
-
-// portRetryPump re-pumps the port at a QoS cap-retry deadline.
-type portRetryPump outPort
-
-//simlint:hotpath
-func (h *portRetryPump) OnEvent(_ *sim.Engine, _ *sim.Event) {
-	o := (*outPort)(h)
-	o.retryEv = nil
-	o.pump()
-}
 
 // portCreditReturn returns Arg bytes of input-buffer credit to this port
 // (a packet departed the downstream element) and re-pumps it.
@@ -138,12 +121,9 @@ func (o *outPort) pump() {
 	if o.peerNIC != nil {
 		max = creditUnlimited
 	}
-	v, _, _, ok, retry := o.sched.Dequeue(now, clampInt(max))
+	v, _, _, ok := o.sched.Dequeue(clampInt(max))
 	if !ok {
-		if retry > 0 && o.retryEv == nil {
-			o.retryEv = o.dom.eng.Schedule(retry, (*portRetryPump)(o), 0, nil)
-		}
-		if retry == 0 && o.peerSw != nil && o.credits < o.sched.TotalQueuedBytes() {
+		if o.peerSw != nil && o.credits < o.sched.TotalQueuedBytes() {
 			o.armWatchdog(now)
 		}
 		return
@@ -167,10 +147,8 @@ func clampInt(v int64) int {
 // effBits is the port's current usable bandwidth: the configured rate
 // capped by the physical link's surviving lanes.
 func (o *outPort) effBits() int64 {
-	if o.phy != nil {
-		if pb := o.phy.Bandwidth(); pb < o.bits {
-			return pb
-		}
+	if pb := o.phy.Bandwidth(); pb < o.bits {
+		return pb
 	}
 	return o.bits
 }
@@ -182,8 +160,6 @@ func (o *outPort) transmit(p *Packet, now sim.Time) {
 	if o.peerSw != nil {
 		o.credits -= size
 	}
-	o.TxPackets++
-	o.TxBytes += size
 
 	// Departing the current element frees the upstream input-buffer space
 	// this packet was holding; the credit travels one reverse hop. A
@@ -211,7 +187,7 @@ func (o *outPort) transmit(p *Packet, now sim.Time) {
 				break
 			}
 			o.dom.ctr.LLRRetries++
-			occupancy += o.phy.LLRDelay + ser
+			occupancy += phy.LLRDelay + ser
 		}
 	}
 
@@ -255,7 +231,6 @@ func (o *outPort) armWatchdog(now sim.Time) {
 	if o.watchdogEv != nil {
 		return
 	}
-	o.blockedSince = now
 	o.watchdogEv = o.dom.eng.Schedule(now+watchdogDelay, (*portWatchdog)(o), 0, nil)
 }
 

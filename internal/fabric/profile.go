@@ -25,19 +25,11 @@ import (
 	"repro/internal/rosetta"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Profile is the hardware/algorithm personality of a simulated system.
 type Profile struct {
 	Name string
-
-	// Topo optionally pairs the link/latency model with a topology
-	// constructor — the shape this hardware ships as (e.g. FatTree100G
-	// builds a folded Clos). New takes a built topology, so a caller
-	// builds this one (topology.MustBuild(prof.Topo)) or its own; it may
-	// be nil.
-	Topo topology.Builder
 
 	// FabricBits is the switch-to-switch link bandwidth (bits/s/direction).
 	FabricBits int64
@@ -51,14 +43,11 @@ type Profile struct {
 	// credits. Exhausting it stalls the upstream sender.
 	InputBufferBytes int64
 
-	// CC selects and tunes the endpoint congestion control.
-	CC congestion.Params
-	// CCBuilder, when set, constructs each NIC's congestion controller
-	// and overrides CC (nil keeps congestion.NewController(CC), the
-	// historical behaviour). The fabric reads the built controller's
-	// Hooks to decide whether switches emit endpoint back-pressure
-	// and/or mark ECN.
-	CCBuilder congestion.Builder
+	// CC constructs each NIC's endpoint congestion controller
+	// (congestion.BuilderFor(congestion.DefaultParams(kind)) for a stock
+	// algorithm). The fabric reads the built controller's Hooks to decide
+	// whether switches emit endpoint back-pressure and/or mark ECN.
+	CC congestion.Builder
 
 	// Routing constructs the network's source-switch routing policy
 	// (routing.NewSlingshotAdaptive for §II-C adaptive routing,
@@ -124,7 +113,7 @@ func SlingshotProfile() Profile {
 		EdgeBits:            100e9,
 		Taper:               1,
 		InputBufferBytes:    rosetta.InputBufferBytes,
-		CC:                  congestion.DefaultParams(congestion.Slingshot),
+		CC:                  congestion.BuilderFor(congestion.DefaultParams(congestion.Slingshot)),
 		Routing:             routing.NewSlingshotAdaptive,
 		MinimalBias:         2,
 		RouteNoise:          0.1,
@@ -152,7 +141,7 @@ func AriesProfile() Profile {
 	p.FabricBits = 42e9 // ~5.25 GB/s Aries fabric link
 	p.EdgeBits = 82e9   // 81.6 Gb/s peak injection (§IV-A)
 	p.InputBufferBytes = rosetta.AriesInputBufferBytes
-	p.CC = congestion.DefaultParams(congestion.None)
+	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.None))
 	// Aries biases much less towards minimal paths and works from coarser
 	// congestion information, spreading heavy flows across the whole
 	// group (§IV-A; the mechanism that lets congestion trees reach
@@ -170,15 +159,14 @@ func AriesProfile() Profile {
 // 100 Gb/s fat-tree cluster with standard RoCE NICs, classic Ethernet
 // framing end to end, DCQCN-style (ECN-like) congestion control and
 // ECMP-flavoured routing — equal-cost minimal paths chosen by load with
-// noisy estimates, detours strongly discouraged. The profile pairs the
-// link model with its topology: a folded Clos sized like Shandy.
+// noisy estimates, detours strongly discouraged. Callers pair it with a
+// folded Clos (topology.FatTreeFor).
 func FatTree100GProfile() Profile {
 	p := SlingshotProfile()
 	p.Name = "fattree-100g"
-	p.Topo = topology.FatTreeFor(1024)
 	p.FabricBits = 100e9
 	p.EdgeBits = 100e9
-	p.CC = congestion.DefaultParams(congestion.ECNLike)
+	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))
 	// ECMP hashes flows over the equal-cost ups without congestion
 	// feedback: model it as minimal-only-ish spreading with coarse load
 	// information.
@@ -196,7 +184,7 @@ func FatTree100GProfile() Profile {
 func ECNProfile() Profile {
 	p := SlingshotProfile()
 	p.Name = "slingshot-ecn"
-	p.CC = congestion.DefaultParams(congestion.ECNLike)
+	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))
 	return p
 }
 

@@ -31,7 +31,6 @@ func backendProfile(kind string) Profile {
 	var prof Profile
 	if kind == "fattree" {
 		prof = FatTree100GProfile()
-		prof.Topo = nil // the test supplies its own small instance
 	} else {
 		prof = SlingshotProfile()
 	}
@@ -39,12 +38,12 @@ func backendProfile(kind string) Profile {
 	return prof
 }
 
-// TestProfileTopoBuilds: a profile that pairs its link model with a
-// topology constructor builds a working network over that topology.
-func TestProfileTopoBuilds(t *testing.T) {
+// TestFatTree100GDelivers: the comparison cluster's profile on the
+// Shandy-sized folded Clos it models builds a network that delivers.
+func TestFatTree100GDelivers(t *testing.T) {
 	prof := FatTree100GProfile()
 	prof.SwitchJitter = false
-	n := New(topology.MustBuild(prof.Topo), prof, 3)
+	n := New(topology.MustBuild(topology.FatTreeFor(1024)), prof, 3)
 	if n.Topo.Kind() != "fattree" || n.Topo.Nodes() < 1024 {
 		t.Fatalf("profile built %s with %d nodes", n.Topo.Kind(), n.Topo.Nodes())
 	}

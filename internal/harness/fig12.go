@@ -16,6 +16,7 @@ func init() {
 		Name:           "fig12",
 		Desc:           "bursty incast aggressor impact over burst size x gap heatmaps",
 		DefaultOptions: fig12Defaults,
+		MinNodes:       halvesMinNodes,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig12Bursty(opt, nil, nil, nil).Result(), nil
 		},

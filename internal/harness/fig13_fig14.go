@@ -24,8 +24,9 @@ const (
 	// one-rank Allreduce completes without advancing simulated time, so
 	// fig13's measurement loop would never reach its horizon.
 	fig13MinNodes = 4
-	// fig14MinNodes gives each of the two jobs a node.
-	fig14MinNodes = 2
+	// halvesMinNodes gives each of two jobs that split the machine in
+	// half a node (fig12, fig14).
+	halvesMinNodes = 2
 )
 
 func init() {
@@ -91,8 +92,8 @@ func qosNetwork(opt Options, classes *qos.Config) *fabric.Network {
 // class — §II-E's worked example.
 func qosTwoClasses() *qos.Config {
 	return &qos.Config{Classes: []qos.Class{
-		{Name: "bulk", DSCP: 0, Priority: 0, MinShare: 0.5, MinimalBias: 1},
-		{Name: "latency", DSCP: 10, Priority: 5, MinShare: 0.1, MinimalBias: 2},
+		{Name: "bulk", Priority: 0, MinShare: 0.5, MinimalBias: 1},
+		{Name: "latency", Priority: 5, MinShare: 0.1, MinimalBias: 2},
 	}}
 }
 
@@ -100,8 +101,8 @@ func qosTwoClasses() *qos.Config {
 // 80% minimum, TC2 with 10%.
 func qosMinBandwidth() *qos.Config {
 	return &qos.Config{Classes: []qos.Class{
-		{Name: "tc1", DSCP: 0, MinShare: 0.8, MinimalBias: 1},
-		{Name: "tc2", DSCP: 20, MinShare: 0.1, MinimalBias: 1},
+		{Name: "tc1", MinShare: 0.8, MinimalBias: 1},
+		{Name: "tc2", MinShare: 0.1, MinimalBias: 1},
 	}}
 }
 
@@ -246,7 +247,7 @@ type Fig14Result struct {
 // network).
 func Fig14Bandwidth(opt Options) (Fig14Result, error) {
 	opt = opt.withDefaults(fig14Defaults)
-	if err := qosCheck("fig14", opt, fig14MinNodes); err != nil {
+	if err := qosCheck("fig14", opt, halvesMinNodes); err != nil {
 		return Fig14Result{}, err
 	}
 	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []Fig14Series {

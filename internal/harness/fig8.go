@@ -16,6 +16,7 @@ func init() {
 		Name:           "fig8",
 		Desc:           "Tailbench latency distributions with and without incast congestion",
 		DefaultOptions: fig8Defaults,
+		MinNodes:       MinCellNodes,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig8Tailbench(opt).Result(), nil
 		},

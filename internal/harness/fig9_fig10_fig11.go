@@ -20,6 +20,7 @@ func init() {
 		Name:           "fig9",
 		Desc:           "congestion-impact heatmap: victims vs (system, aggressor, split)",
 		DefaultOptions: fig9Defaults,
+		MinNodes:       MinCellNodes,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig9Heatmap(opt, opt.Victims).Result(), nil
 		},
@@ -28,6 +29,7 @@ func init() {
 		Name:           "fig10",
 		Desc:           "impact distributions across allocation policies (panels A/B/C)",
 		DefaultOptions: fig10Defaults,
+		MinNodes:       MinCellNodes,
 		// The paper's panel variants: B raises aggressor PPN (24 at
 		// paper scale, 4 reduced), C shrinks the machine. Applied to
 		// the raw options so an explicitly requested scale wins.
@@ -52,6 +54,7 @@ func init() {
 		Name:           "fig11",
 		Desc:           "full-system application heatmap under congestion (random allocation)",
 		DefaultOptions: fig11Defaults,
+		MinNodes:       MinCellNodes,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig11FullScale(opt).Result(), nil
 		},

@@ -107,7 +107,14 @@ func (k AggressorKind) String() string {
 	return "all-to-all"
 }
 
-// CellSpec fully describes one congestion-grid cell.
+// MinCellNodes is the smallest machine a victim/aggressor experiment can
+// split into two jobs: RunCell reserves two nodes for the aggressor job
+// and fig8 two for the victim job, so with fewer than three nodes the
+// other job is empty.
+const MinCellNodes = 3
+
+// CellSpec fully describes one congestion-grid cell. TotalNodes must be
+// at least MinCellNodes.
 type CellSpec struct {
 	Sys        System
 	TotalNodes int

@@ -118,8 +118,7 @@ func (o Options) gridJobs() int {
 
 // System couples a topology shape with a hardware profile. Dragonfly
 // systems fill Topo (the figN experiments also read its shape fields);
-// other backends set Builder, which takes precedence over it. Only when
-// both are zero does the profile's own constructor (Prof.Topo) apply.
+// other backends set Builder, which takes precedence over it.
 type System struct {
 	Name    string
 	Topo    topology.Config
@@ -176,18 +175,12 @@ func Crystal(n int) System {
 	return System{Name: "Aries (Crystal)", Prof: fabric.AriesProfile(), Topo: cfg}
 }
 
-// build instantiates the network for a system: Builder, else an
-// explicitly set Dragonfly Topo, else the profile's own constructor.
+// build instantiates the network for a system: Builder, else the
+// Dragonfly Topo (a zero Topo fails Validate: the empty system).
 func (s System) build(seed uint64) *fabric.Network {
 	b := s.Builder
-	if b == nil && s.Topo != (topology.Config{}) {
-		b = s.Topo
-	}
-	if b == nil && s.Prof.Topo != nil {
-		b = s.Prof.Topo
-	}
 	if b == nil {
-		b = s.Topo // zero config: Validate reports the empty system
+		b = s.Topo
 	}
 	n := fabric.NewSharded(topology.MustBuild(b), s.Prof, seed, s.Domains)
 	if s.Fidelity != fabric.FidelityPacket {

@@ -65,7 +65,7 @@ func policySystem(topoName, routingName, ccName string, machineNodes int) (Syste
 	if err != nil {
 		return System{}, err
 	}
-	sys.Prof.CCBuilder = cb
+	sys.Prof.CC = cb
 	return sys, nil
 }
 
@@ -95,6 +95,10 @@ type PolicyCompareResult struct {
 // a single backend.
 func PolicyCompare(opt Options) (PolicyCompareResult, error) {
 	opt = opt.withDefaults(policyCompareDefaults)
+	if opt.Nodes < MinCellNodes {
+		return PolicyCompareResult{}, fmt.Errorf("harness: policy-compare needs at least %d nodes, got %d",
+			MinCellNodes, opt.Nodes)
+	}
 	topos, routings, ccs := TopoNames[:], RoutingNames[:], PolicyCCNames[:]
 	if opt.Topo != "" {
 		topos = []string{opt.Topo}

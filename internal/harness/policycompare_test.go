@@ -112,7 +112,7 @@ func TestDelayCCProtectsVictims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Prof.CCBuilder = b
+		sys.Prof.CC = b
 		r := RunCell(CellSpec{
 			Sys: sys, TotalNodes: 48, VictimFrac: 0.5,
 			Aggressor: IncastAggressor, AggrPPN: 1,

@@ -26,6 +26,10 @@ type Experiment struct {
 	// merged — it is the only hook that can still distinguish "field
 	// not specified" (zero) from an explicit value.
 	Prepare func(Options) Options
+	// MinNodes is the smallest machine Run can split into its jobs; the
+	// registered Run returns an error when Options.Nodes, after
+	// defaults, is below it.
+	MinNodes int
 	// Run executes the experiment.
 	Run func(Options) (*results.Result, error)
 }
@@ -35,8 +39,8 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
 // programming errors. The registered Run is wrapped to reject negative
-// scale options and an unknown Options.Fidelity with an error, and to
-// stamp result metadata and wall time.
+// scale options, an unknown Options.Fidelity and a machine below MinNodes
+// with an error, and to stamp result metadata and wall time.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -49,7 +53,7 @@ func Register(e Experiment) {
 		panic(fmt.Sprintf("harness: experiment %q has no Run", e.Name))
 	}
 	name, desc := e.Name, e.Desc
-	prepare, defaults := e.Prepare, e.DefaultOptions
+	prepare, defaults, minNodes := e.Prepare, e.DefaultOptions, e.MinNodes
 	e.Run = func(opt Options) (*results.Result, error) {
 		// Checked before prepare and withDefaults, which pass negative
 		// counts through or overwrite them.
@@ -64,6 +68,9 @@ func Register(e Experiment) {
 			opt = prepare(opt)
 		}
 		opt = opt.withDefaults(defaults)
+		if opt.Nodes < minNodes {
+			return nil, fmt.Errorf("%s: needs at least %d nodes, got %d", name, minNodes, opt.Nodes)
+		}
 		start := wallClock.Now()
 		res, err := run(opt)
 		if err != nil {

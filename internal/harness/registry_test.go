@@ -209,6 +209,17 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"fig2", "ppn=-2", Options{PPN: -2}},
 		{"topo-compare", "nodes=1", Options{Nodes: 1}},
 		{"topo-compare", "nodes=2", Options{Nodes: 2}},
+		{"fig8", "nodes=1", Options{Nodes: 1}},
+		{"fig8", "nodes=2", Options{Nodes: 2}},
+		{"fig9", "nodes=1", Options{Nodes: 1}},
+		{"fig9", "nodes=2", Options{Nodes: 2}},
+		{"fig10", "nodes=1", Options{Nodes: 1}},
+		{"fig10", "nodes=2", Options{Nodes: 2}},
+		{"fig11", "nodes=1", Options{Nodes: 1}},
+		{"fig11", "nodes=2", Options{Nodes: 2}},
+		{"policy-compare", "nodes=1", Options{Nodes: 1}},
+		{"policy-compare", "nodes=2", Options{Nodes: 2}},
+		{"fig12", "nodes=1", Options{Nodes: 1}},
 		{"fig13", "nodes=2", Options{Nodes: 2}},
 		{"fig13", "nodes=3", Options{Nodes: 3}},
 		{"fig13", "fidelity=flow", Options{Nodes: 16, Fidelity: "flow"}},

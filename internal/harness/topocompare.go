@@ -67,20 +67,15 @@ type TopoCompareResult struct {
 	Grid Fig9Result
 }
 
-// topoCompareMinNodes is the smallest machine a grid cell can split: a
-// cell leaves the aggressor job two nodes, so fewer than three leave the
-// victim job empty.
-const topoCompareMinNodes = 3
-
 // TopoCompare runs the same victim/aggressor congestion grid (both
 // aggressors, the Fig. 9 splits, linear allocation) across the selected
 // backends via RunGrid. opt.Topo restricts the sweep to one backend; the
 // default sweeps all three with the same machine-size headroom as Fig. 9.
 func TopoCompare(opt Options) (TopoCompareResult, error) {
 	opt = opt.withDefaults(topoCompareDefaults)
-	if opt.Nodes < topoCompareMinNodes {
+	if opt.Nodes < MinCellNodes {
 		return TopoCompareResult{}, fmt.Errorf("harness: topo-compare needs at least %d nodes, got %d",
-			topoCompareMinNodes, opt.Nodes)
+			MinCellNodes, opt.Nodes)
 	}
 	names := TopoNames[:]
 	if opt.Topo != "" {

@@ -10,7 +10,7 @@ import (
 // runs, and the fabric recycles every *fabric.Packet at deliver, so:
 //
 //  1. An OnEvent implementation that reads a stored *sim.Event field
-//     (`o.retryEv`) must also nil that field — otherwise the object keeps
+//     (`o.watchdogEv`) must also nil that field — otherwise the object keeps
 //     a pointer to a struct the engine will hand to an unrelated future
 //     Schedule, and a later Cancel through the stale pointer corrupts the
 //     queue.

@@ -344,8 +344,8 @@ func TestLatencyClassSelection(t *testing.T) {
 	prof := fabric.SlingshotProfile()
 	prof.SwitchJitter = false
 	prof.QoS = &qos.Config{Classes: []qos.Class{
-		{Name: "bulk", DSCP: 0, MinShare: 0.5, MinimalBias: 1},
-		{Name: "latency", DSCP: 10, Priority: 5, MinShare: 0.1, MinimalBias: 1},
+		{Name: "bulk", MinShare: 0.5, MinimalBias: 1},
+		{Name: "latency", Priority: 5, MinShare: 0.1, MinimalBias: 1},
 	}}
 	net := fabric.New(topo, prof, 1)
 	classes := map[int]int{}

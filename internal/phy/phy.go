@@ -1,6 +1,7 @@
-// Package phy models the physical layer of §II-A and §II-F: SerDes lanes,
-// forward error correction (FEC), link-level reliability (LLR) retransmit,
-// lane degrade, and cable propagation delay.
+// Package phy models the physical layer of §II-A and §II-F: SerDes lanes
+// and lane degrade, forward error correction (FEC) latency, cable
+// propagation delay, and the delay of a link-level reliability (LLR)
+// retransmit.
 package phy
 
 import (
@@ -46,33 +47,21 @@ func EdgeDelay() sim.Time {
 // direction at 50G lane rate; we charge a combined fixed cost).
 const FECLatency = 30 * sim.Nanosecond
 
-// Link models one physical link direction: lane state, LLR retransmission
-// and a bit-error process. It carries no queueing — that is fabric's job —
-// only physical-layer timing and loss.
+// LLRDelay is the time a link-level retry adds before the frame is
+// replayed: one reverse-direction notification plus the replay (§II-F).
+const LLRDelay = 300 * sim.Nanosecond
+
+// Link is the lane state of one physical link direction. It carries no
+// queueing and no loss — the fabric's egress port owns both and draws
+// frame errors itself — only the lane count that sets the usable
+// bandwidth.
 type Link struct {
-	Lanes      int     // active lanes (lane degrade reduces this)
-	BER        float64 // residual post-FEC frame error probability
-	LLREnabled bool    // link-level retry (Slingshot links have it; plain Ethernet does not)
-	LLRDelay   sim.Time
-	rng        *sim.RNG
-	// Stats
-	FramesSent  int64
-	FrameErrors int64
-	LLRRetries  int64
-	FramesLost  int64 // errors not recovered (no LLR)
+	Lanes int // active lanes (lane degrade reduces this)
 }
 
-// NewLink returns a healthy 4-lane link. berPerFrame is the post-FEC frame
-// error probability (0 for the deterministic experiments; small positive
-// values for the failure-injection tests).
-func NewLink(rng *sim.RNG, berPerFrame float64, llr bool) *Link {
-	return &Link{
-		Lanes:      LanesPerPort,
-		BER:        berPerFrame,
-		LLREnabled: llr,
-		LLRDelay:   300 * sim.Nanosecond, // one reverse-direction notification + replay
-		rng:        rng,
-	}
+// NewLink returns a healthy 4-lane link.
+func NewLink() *Link {
+	return &Link{Lanes: LanesPerPort}
 }
 
 // Bandwidth returns the current usable bandwidth in bits/s, accounting for
@@ -93,25 +82,3 @@ func (l *Link) DegradeLane() bool {
 
 // RestoreLanes returns the link to full width (cable replaced).
 func (l *Link) RestoreLanes() { l.Lanes = LanesPerPort }
-
-// TransferTime returns the wire occupancy plus physical-layer latency for
-// a frame of the given wire size, including any LLR retransmissions, and
-// whether the frame was delivered. Errors without LLR lose the frame (the
-// NIC's end-to-end retry recovers it at a much higher level, §II-F).
-func (l *Link) TransferTime(wireBytes int, propagation sim.Time) (sim.Time, bool) {
-	l.FramesSent++
-	t := sim.SerializationTime(int64(wireBytes), l.Bandwidth()) + propagation + FECLatency
-	if l.BER <= 0 || l.rng == nil {
-		return t, true
-	}
-	for l.rng.Float64() < l.BER {
-		l.FrameErrors++
-		if !l.LLREnabled {
-			l.FramesLost++
-			return t, false
-		}
-		l.LLRRetries++
-		t += l.LLRDelay + sim.SerializationTime(int64(wireBytes), l.Bandwidth())
-	}
-	return t, true
-}

@@ -1,29 +1,21 @@
 // Package qos implements Slingshot's traffic classes (§II-E of the paper):
-// DSCP-tagged classes with administrator-tunable priority, minimum
-// bandwidth guarantee, maximum bandwidth cap, ordering and lossiness flags,
-// and a routing bias. Egress ports schedule across classes with a
-// deficit-round-robin (DRR) scheduler whose quanta implement the minimum
-// shares; bandwidth left unallocated by the configuration is donated to the
-// active class with the lowest share, reproducing the behaviour measured in
+// classes with administrator-tunable priority, a minimum bandwidth
+// guarantee and a routing bias. Egress ports schedule across classes with
+// strict priority between priority levels and a deficit-round-robin (DRR)
+// scheduler whose quanta implement the minimum shares within a level;
+// bandwidth left unallocated by the configuration is donated to the active
+// class with the lowest share, reproducing the behaviour measured in
 // Fig. 14.
 package qos
 
-import (
-	"fmt"
-
-	"repro/internal/ethernet"
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Class is one traffic class. The zero value is a usable best-effort class.
+// Senders pick a class by its index in Config.Classes.
 type Class struct {
 	Name     string
-	DSCP     ethernet.DSCP // codepoint that selects this class
-	Priority int           // higher value is served strictly first
-	MinShare float64       // guaranteed fraction of link bandwidth [0,1]
-	MaxShare float64       // cap fraction; 0 means uncapped
-	Ordered  bool          // require in-order delivery (restricts adaptive routing)
-	Lossy    bool          // packets may be dropped instead of back-pressured
+	Priority int     // higher value is served strictly first
+	MinShare float64 // guaranteed fraction of link bandwidth [0,1]
 	// MinimalBias nudges adaptive routing towards minimal paths for this
 	// class (1 = default bias, >1 = stronger preference for minimal).
 	MinimalBias float64
@@ -47,39 +39,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("qos: no traffic classes")
 	}
 	var sum float64
-	seen := make(map[ethernet.DSCP]bool)
 	for i, cl := range c.Classes {
 		if cl.MinShare < 0 || cl.MinShare > 1 {
 			return fmt.Errorf("qos: class %d MinShare %v out of [0,1]", i, cl.MinShare)
 		}
-		if cl.MaxShare < 0 || cl.MaxShare > 1 {
-			return fmt.Errorf("qos: class %d MaxShare %v out of [0,1]", i, cl.MaxShare)
-		}
-		if cl.MaxShare > 0 && cl.MaxShare < cl.MinShare {
-			return fmt.Errorf("qos: class %d MaxShare < MinShare", i)
-		}
-		if seen[cl.DSCP] {
-			return fmt.Errorf("qos: duplicate DSCP %d", cl.DSCP)
-		}
-		seen[cl.DSCP] = true
 		sum += cl.MinShare
 	}
 	if sum > 1+1e-9 {
 		return fmt.Errorf("qos: guaranteed minimum shares sum to %v > 1", sum)
 	}
 	return nil
-}
-
-// ClassByDSCP returns the index of the class handling the codepoint, or 0
-// (the first class) when no class matches — unclassified traffic shares
-// the dynamically allocated remainder (§II-E).
-func (c *Config) ClassByDSCP(d ethernet.DSCP) int {
-	for i, cl := range c.Classes {
-		if cl.DSCP == d {
-			return i
-		}
-	}
-	return 0
 }
 
 // entry is one queued packet.
@@ -90,21 +59,16 @@ type entry struct {
 
 // PortScheduler arbitrates one egress port across traffic classes.
 // It is DRR with per-round quanta proportional to each class's effective
-// share, strict priority between priority levels, and token-bucket caps
-// for MaxShare.
+// share, and strict priority between priority levels.
 type PortScheduler struct {
-	cfg      *Config
-	linkBits int64
-	queues   [][]entry
-	head     []int // index of first live entry in queues[c] (amortized pop)
-	qbytes   []int64
-	deficit  []int64
-	rr       int // round-robin cursor
-	// MaxShare token buckets.
-	sent       []int64
-	bucketFrom sim.Time
-	totalQ     int64
-	count      int
+	cfg     *Config
+	queues  [][]entry
+	head    []int // index of first live entry in queues[c] (amortized pop)
+	qbytes  []int64
+	deficit []int64
+	rr      int // round-robin cursor
+	totalQ  int64
+	count   int
 	// Per-Dequeue scratch (the scheduler is single-threaded per network;
 	// reusing these keeps the per-packet path allocation-free).
 	activeBuf []bool
@@ -114,17 +78,15 @@ type PortScheduler struct {
 // quantumBase is the DRR base quantum (one max-size frame).
 const quantumBase = 4200
 
-// NewPortScheduler returns a scheduler for a port of the given bandwidth.
-func NewPortScheduler(cfg *Config, linkBits int64) *PortScheduler {
+// NewPortScheduler returns a scheduler for one egress port.
+func NewPortScheduler(cfg *Config) *PortScheduler {
 	n := len(cfg.Classes)
 	return &PortScheduler{
 		cfg:       cfg,
-		linkBits:  linkBits,
 		queues:    make([][]entry, n),
 		head:      make([]int, n),
 		qbytes:    make([]int64, n),
 		deficit:   make([]int64, n),
-		sent:      make([]int64, n),
 		activeBuf: make([]bool, n),
 		shareBuf:  make([]float64, n),
 	}
@@ -140,9 +102,6 @@ func (s *PortScheduler) Enqueue(class, wire int, v any) {
 
 // Len returns the number of queued packets.
 func (s *PortScheduler) Len() int { return s.count }
-
-// QueuedBytes returns the bytes queued in one class.
-func (s *PortScheduler) QueuedBytes(class int) int64 { return s.qbytes[class] }
 
 // TotalQueuedBytes returns the bytes queued across all classes. This is the
 // quantity the adaptive-routing congestion estimate reads ("the total depth
@@ -184,39 +143,15 @@ func (s *PortScheduler) effectiveShare(active []bool) []float64 {
 	return share
 }
 
-// capBlocked reports whether class c is over its MaxShare token budget at
-// time now, and if so when it becomes eligible again.
-func (s *PortScheduler) capBlocked(c int, now sim.Time) (bool, sim.Time) {
-	maxShare := s.cfg.Classes[c].MaxShare
-	if maxShare <= 0 {
-		return false, 0
-	}
-	elapsed := now - s.bucketFrom
-	// Allow a one-frame burst so the cap cannot deadlock the port.
-	budget := int64(float64(s.linkBits/8)*maxShare*elapsed.Seconds()) + quantumBase
-	if s.sent[c] < budget {
-		return false, 0
-	}
-	// Time until the bucket refills enough for the next frame.
-	deficit := float64(s.sent[c] - budget + quantumBase)
-	wait := sim.FromSeconds(deficit / (float64(s.linkBits/8) * maxShare))
-	if wait < sim.Nanosecond {
-		wait = sim.Nanosecond
-	}
-	return true, now + wait
-}
-
-// Dequeue picks the next packet to transmit at time now, honoring strict
-// priority, DRR minimum shares, and MaxShare caps. maxWire limits the
-// packet size that can currently be accepted downstream (credits); pass a
-// large value when unconstrained. It returns ok=false when nothing is
-// eligible; retry is then the earliest time a cap unblocks (zero when the
-// scheduler is simply empty or credit-bound).
+// Dequeue picks the next packet to transmit, honoring strict priority and
+// DRR minimum shares. maxWire limits the packet size that can currently be
+// accepted downstream (credits); pass a large value when unconstrained. It
+// returns ok=false exactly when no queued class's head packet fits maxWire.
 //
 //simlint:hotpath
-func (s *PortScheduler) Dequeue(now sim.Time, maxWire int) (v any, wire int, class int, ok bool, retry sim.Time) {
+func (s *PortScheduler) Dequeue(maxWire int) (v any, wire int, class int, ok bool) {
 	if s.count == 0 {
-		return nil, 0, 0, false, 0
+		return nil, 0, 0, false
 	}
 	active := s.activeBuf
 	for i := range active {
@@ -231,12 +166,11 @@ func (s *PortScheduler) Dequeue(now sim.Time, maxWire int) (v any, wire int, cla
 			bestPrio = cl.Priority
 		}
 	}
-	var earliest sim.Time
 	for prio := bestPrio; ; {
 		// DRR pass over active classes at this priority.
-		served := s.drrPass(now, prio, share, active, maxWire, &earliest)
+		served := s.drrPass(prio, share, active, maxWire)
 		if served.ok {
-			return served.v, served.wire, served.class, true, 0
+			return served.v, served.wire, served.class, true
 		}
 		// Move to the next lower priority that has active classes.
 		next := minIntQ
@@ -250,7 +184,7 @@ func (s *PortScheduler) Dequeue(now sim.Time, maxWire int) (v any, wire int, cla
 		}
 		prio = next
 	}
-	return nil, 0, 0, false, earliest
+	return nil, 0, 0, false
 }
 
 const minIntQ = -1 << 31
@@ -264,24 +198,18 @@ type dequeued struct {
 
 // drrPass attempts one deficit-round-robin selection among the active
 // classes at the given priority level.
-func (s *PortScheduler) drrPass(now sim.Time, prio int, share []float64, active []bool, maxWire int, earliest *sim.Time) dequeued {
+func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWire int) dequeued {
 	n := len(s.cfg.Classes)
 	// Sweep the active classes, topping up deficits by one quantum between
-	// sweeps, until something is served or nothing can be (cap-blocked or
-	// credit-bound). Each top-up adds at least 64 bytes of deficit to every
-	// active class, so the loop is bounded by maxFrame/64 sweeps and the
-	// scheduler is work-conserving even for classes with tiny shares.
+	// sweeps, until something is served or nothing can be (credit-bound).
+	// Each top-up adds at least 64 bytes of deficit to every active class,
+	// so the loop is bounded by maxFrame/64 sweeps and the scheduler is
+	// work-conserving even for classes with tiny shares.
 	const maxSweeps = 2 + quantumBase/32
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		for k := 0; k < n; k++ {
 			c := (s.rr + k) % n
 			if !active[c] || s.cfg.Classes[c].Priority != prio {
-				continue
-			}
-			if blocked, at := s.capBlocked(c, now); blocked {
-				if *earliest == 0 || at < *earliest {
-					*earliest = at
-				}
 				continue
 			}
 			e := s.queues[c][s.head[c]]
@@ -294,18 +222,14 @@ func (s *PortScheduler) drrPass(now sim.Time, prio int, share []float64, active 
 			// Serve.
 			s.deficit[c] -= int64(e.wire)
 			s.popHead(c)
-			s.sent[c] += int64(e.wire)
 			s.rr = (c + 1) % n
 			return dequeued{v: e.v, wire: e.wire, class: c, ok: true}
 		}
 		// Nothing served this sweep: check whether any class could still be
-		// served after more top-ups (active, right priority, not blocked).
+		// served after more top-ups (active, right priority, head fits).
 		anyViable := false
 		for c := 0; c < n; c++ {
 			if !active[c] || s.cfg.Classes[c].Priority != prio {
-				continue
-			}
-			if blocked, _ := s.capBlocked(c, now); blocked {
 				continue
 			}
 			if s.queues[c][s.head[c]].wire <= maxWire {
@@ -345,18 +269,5 @@ func (s *PortScheduler) popHead(c int) {
 	if s.head[c] > 64 && s.head[c]*2 >= len(s.queues[c]) {
 		s.queues[c] = append(s.queues[c][:0], s.queues[c][s.head[c]:]...)
 		s.head[c] = 0
-	}
-}
-
-// PeekSource lets the fabric inspect queued packets (e.g. to find the
-// sources contributing to endpoint congestion, §II-D). fn is called for
-// every queued packet until it returns false.
-func (s *PortScheduler) PeekSource(fn func(v any) bool) {
-	for c := range s.queues {
-		for i := s.head[c]; i < len(s.queues[c]); i++ {
-			if !fn(s.queues[c][i].v) {
-				return
-			}
-		}
 	}
 }
