@@ -20,16 +20,54 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/mpi"
+	"repro/internal/results"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workloads"
 )
 
+// figTable runs a registered experiment and returns its named table.
+func figTable(b *testing.B, name string, opt harness.Options, table string) *results.Table {
+	b.Helper()
+	res, err := harness.Lookup(name).Run(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := res.Table(table)
+	if t == nil {
+		b.Fatalf("%s: no %q table", name, table)
+	}
+	return t
+}
+
+// tableMax returns the largest number in the columns of t from column
+// from on, over the rows whose column key holds want (every row when key
+// is empty). N.A. cells are skipped.
+func tableMax(t *results.Table, from int, key, want string) float64 {
+	k := t.Col(key)
+	worst := 0.0
+	for _, row := range t.Rows {
+		if key != "" && row[k].Str != want {
+			continue
+		}
+		for _, v := range row[from:] {
+			if x, ok := v.Float64(); ok && x > worst {
+				worst = x
+			}
+		}
+	}
+	return worst
+}
+
+// heatmapImpacts is the first impact column of a heatmap table, after
+// its three key columns.
+const heatmapImpacts = 3
+
 func BenchmarkFig2SwitchLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig2SwitchLatency(harness.Options{Nodes: 32, MaxIters: 300})
-		b.ReportMetric(r.Samples.Mean(), "switch-ns")
+		t := figTable(b, "fig2", harness.Options{Nodes: 32, MaxIters: 300}, "distribution")
+		b.ReportMetric(t.Rows[0][t.Col("value_ns")].Num, "switch-ns") // the mean row
 	}
 }
 
@@ -44,25 +82,24 @@ func BenchmarkFig3Topology(b *testing.B) {
 
 func BenchmarkFig4Distance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig4Distance(harness.Options{Nodes: 32, MaxIters: 8})
-		last := r.Rows[len(r.Rows)-1]
-		b.ReportMetric(last.GBits, "4MiB-Gbps")
+		t := figTable(b, "fig4", harness.Options{Nodes: 32, MaxIters: 8}, "grid")
+		b.ReportMetric(t.Rows[len(t.Rows)-1][t.Col("Gbps")].Num, "4MiB-Gbps")
 	}
 }
 
 func BenchmarkFig5Stacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig5Stacks(harness.Options{Nodes: 32, MaxIters: 2})
-		b.ReportMetric(r.Points[0].RTT2.Microseconds(), "verbs-8B-us")
+		t := figTable(b, "fig5", harness.Options{Nodes: 32, MaxIters: 2}, "rtt")
+		b.ReportMetric(t.Rows[0][t.Col("rtt2_us")].Num, "verbs-8B-us")
 	}
 }
 
 func BenchmarkFig6Bisection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig6Bisection(harness.Options{Nodes: 32, Seed: 2})
-		for _, p := range r.Points {
-			if p.Series == "bisection" && p.Size == 128*1024 {
-				b.ReportMetric(p.PeakFrc, "bisection-peak-frac")
+		t := figTable(b, "fig6", harness.Options{Nodes: 32, Seed: 2}, "points")
+		for _, row := range t.Rows {
+			if row[t.Col("series")].Str == "bisection" && row[t.Col("size")].Str == "128KiB" {
+				b.ReportMetric(row[t.Col("peak_frac")].Num, "bisection-peak-frac")
 			}
 		}
 	}
@@ -70,88 +107,62 @@ func BenchmarkFig6Bisection(b *testing.B) {
 
 func BenchmarkFig8Tailbench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig8Tailbench(harness.Options{Nodes: 64, MaxIters: 10, Seed: 9})
-		worst := 0.0
-		for _, e := range r.Entries {
-			if c := e.Congested.Mean() / e.Isolated.Mean(); c > worst {
-				worst = c
-			}
-		}
-		b.ReportMetric(worst, "worst-impact")
+		t := figTable(b, "fig8", harness.Options{Nodes: 64, MaxIters: 10, Seed: 9}, "tail")
+		b.ReportMetric(tableMax(t, t.Col("impact"), "", ""), "worst-impact")
 	}
 }
 
 func BenchmarkFig9Heatmap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig9Heatmap(harness.Options{
-			Nodes: 32, MinIters: 2, MaxIters: 3, Seed: 11,
-		}, harness.VictimsApps)
-		max := r.Max()
-		b.ReportMetric(max["Aries (Crystal)"], "aries-max-impact")
-		b.ReportMetric(max["Slingshot (Shandy)"], "slingshot-max-impact")
+		t := figTable(b, "fig9", harness.Options{
+			Nodes: 32, MinIters: 2, MaxIters: 3, Seed: 11, Victims: harness.VictimsApps,
+		}, "heatmap")
+		b.ReportMetric(tableMax(t, heatmapImpacts, "system", "Aries (Crystal)"), "aries-max-impact")
+		b.ReportMetric(tableMax(t, heatmapImpacts, "system", "Slingshot (Shandy)"), "slingshot-max-impact")
 	}
 }
 
 func BenchmarkFig10Distributions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig10Distributions(harness.Options{
-			Nodes: 24, MinIters: 2, MaxIters: 3, Seed: 17,
-		}, harness.VictimsApps, "A")
-		worst := 0.0
-		for _, v := range r.Variants {
-			if v.Max > worst {
-				worst = v.Max
-			}
-		}
-		b.ReportMetric(worst, "worst-impact")
+		t := figTable(b, "fig10", harness.Options{
+			Nodes: 24, MinIters: 2, MaxIters: 3, Seed: 17, Victims: harness.VictimsApps, Panel: "A",
+		}, "panel A")
+		b.ReportMetric(tableMax(t, t.Col("max_C"), "", ""), "worst-impact")
 	}
 }
 
 func BenchmarkFig11FullScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig11FullScale(harness.Options{
+		t := figTable(b, "fig11", harness.Options{
 			Nodes: 32, MinIters: 2, MaxIters: 3, Seed: 5,
-		})
-		worst := 0.0
-		for _, row := range r.Rows {
-			for _, c := range row.Cells {
-				if !c.NA && c.Impact > worst {
-					worst = c.Impact
-				}
-			}
-		}
-		b.ReportMetric(worst, "worst-impact")
+		}, "heatmap")
+		b.ReportMetric(tableMax(t, heatmapImpacts, "", ""), "worst-impact")
 	}
 }
 
+// BenchmarkFig12Bursty runs the registered grid: all three aggressor
+// message sizes x four burst sizes x four gaps (48 cells).
 func BenchmarkFig12Bursty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig12Bursty(harness.Options{
+		t := figTable(b, "fig12", harness.Options{
 			Nodes: 24, MinIters: 3, MaxIters: 6, Seed: 13,
-		}, []int64{128 * 1024, 1 << 20}, []int{100, 10000}, []int64{1, 10000})
-		b.ReportMetric(r.MaxImpact()[128*1024], "128KiB-max-impact")
+		}, "bursty")
+		b.ReportMetric(tableMax(t, t.Col("impact"), "aggr_msg", "128KiB"), "128KiB-max-impact")
 	}
 }
 
 func BenchmarkFig13TrafficClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SameImpact, "sameTC-impact")
-		b.ReportMetric(r.SeparateImpact, "separateTC-impact")
+		t := figTable(b, "fig13", harness.Options{Nodes: 24, Seed: 3}, "steady-state")
+		b.ReportMetric(t.Rows[0][t.Col("impact")].Num, "sameTC-impact")
+		b.ReportMetric(t.Rows[1][t.Col("impact")].Num, "separateTC-impact")
 	}
 }
 
 func BenchmarkFig14Bandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig14Bandwidth(harness.Options{Nodes: 24, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, sep := r.OverlapShares()
-		b.ReportMetric(sep[0], "tc1-share")
+		t := figTable(b, "fig14", harness.Options{Nodes: 24, Seed: 3}, "overlap-share")
+		b.ReportMetric(t.Rows[1][t.Col("job1_share")].Num, "tc1-share") // separate TCs
 	}
 }
 
@@ -418,10 +429,10 @@ func BenchmarkFig9GridParallel(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := harness.Fig9Heatmap(harness.Options{
-					Nodes: 32, MinIters: 2, MaxIters: 3, Seed: 11, Jobs: jobs,
-				}, harness.VictimsQuick)
-				b.ReportMetric(r.Max()["Aries (Crystal)"], "aries-max-impact")
+				t := figTable(b, "fig9", harness.Options{
+					Nodes: 32, MinIters: 2, MaxIters: 3, Seed: 11, Jobs: jobs, Victims: harness.VictimsQuick,
+				}, "heatmap")
+				b.ReportMetric(tableMax(t, heatmapImpacts, "system", "Aries (Crystal)"), "aries-max-impact")
 			}
 		})
 	}

@@ -182,25 +182,18 @@ type benchRow struct {
 // benchRows indexes a result's "benchmarks" table by benchmark name.
 func benchRows(r *results.Result) map[string]benchRow {
 	rows := map[string]benchRow{}
-	for _, t := range r.Tables {
-		if t.Name != "benchmarks" {
-			continue
-		}
-		col := map[string]int{}
-		for i, c := range t.Columns {
-			col[c] = i
-		}
-		ni, ok1 := col["benchmark"]
-		nsi, ok2 := col["ns/unit"]
-		ai, ok3 := col["allocs/unit"]
-		if !ok1 || !ok2 || !ok3 {
-			continue
-		}
-		for _, row := range t.Rows {
-			ns, _ := row[nsi].Float64()
-			allocs, _ := row[ai].Float64()
-			rows[row[ni].Text()] = benchRow{name: row[ni].Text(), ns: ns, allocs: allocs}
-		}
+	t := r.Table("benchmarks")
+	if t == nil {
+		return rows
+	}
+	ni, nsi, ai := t.Col("benchmark"), t.Col("ns/unit"), t.Col("allocs/unit")
+	if ni < 0 || nsi < 0 || ai < 0 {
+		return rows
+	}
+	for _, row := range t.Rows {
+		ns, _ := row[nsi].Float64()
+		allocs, _ := row[ai].Float64()
+		rows[row[ni].Text()] = benchRow{name: row[ni].Text(), ns: ns, allocs: allocs}
 	}
 	return rows
 }

@@ -30,8 +30,8 @@ func main() {
 		iters  = flag.Int("iters", 10, "max iterations per victim")
 	)
 	flag.Parse()
-	if *nodes < harness.MinCellNodes {
-		fmt.Fprintf(os.Stderr, "gpcnet: -nodes must be at least %d, got %d\n", harness.MinCellNodes, *nodes)
+	if err := checkFlags(*nodes, *iters, *split); err != nil {
+		fmt.Fprintln(os.Stderr, "gpcnet:", err)
 		os.Exit(2)
 	}
 
@@ -82,4 +82,21 @@ func main() {
 		}, v)
 		fmt.Printf("%-20s %14.1f %14.1f %9.2fx\n", r.Victim, r.Isolated, r.Congested, r.Impact)
 	}
+}
+
+// checkFlags rejects the -nodes, -iters and -split values gpcnet cannot
+// run: a machine too small for two two-node jobs, fewer than one
+// measurement per victim, or a victim fraction that leaves either job
+// empty.
+func checkFlags(nodes, iters int, split float64) error {
+	if nodes < harness.MinCellNodes {
+		return fmt.Errorf("-nodes must be at least %d, got %d", harness.MinCellNodes, nodes)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iters must be at least 1, got %d", iters)
+	}
+	if !(split > 0 && split < 1) {
+		return fmt.Errorf("-split must be strictly between 0 and 1, got %v", split)
+	}
+	return nil
 }

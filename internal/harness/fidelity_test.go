@@ -154,22 +154,19 @@ func TestHybridVictimSlowdownOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hybrid policy cells take ~1s")
 	}
-	r, err := PolicyCompare(Options{
+	grid := table(t, runExp(t, "policy-compare", Options{
 		Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7, PPN: 4,
 		Topo: "dragonfly", Routing: "adaptive", Fidelity: "hybrid",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			if !c.NA && c.Impact < 1 {
+	}), "policy grid")
+	for _, row := range grid.Rows {
+		for j, v := range row[heatmapKeys:] {
+			if c, ok := v.Float64(); ok && c < 1 {
 				t.Errorf("%s/%s/%s %s: impact %v below 1",
-					row.Topo, row.Routing, row.CC, c.Victim, c.Impact)
+					row[0].Str, row[1].Str, row[2].Str, grid.Columns[heatmapKeys+j], c)
 			}
 		}
 	}
-	max := r.MaxByCC()
+	max := maxImpactBy(t, grid, "cc")
 	for _, cc := range []string{"slingshot", "ecn"} {
 		if max[cc] == 0 {
 			t.Fatalf("no measurable cells for CC %q under hybrid fidelity", cc)

@@ -14,62 +14,29 @@ import (
 	"repro/internal/workloads"
 )
 
-var (
-	fig13Defaults = Options{Nodes: 32}
-	fig14Defaults = Options{Nodes: 32}
-)
-
-const (
-	// fig13MinNodes gives the victim job (half the machine) two ranks: a
-	// one-rank Allreduce completes without advancing simulated time, so
-	// fig13's measurement loop would never reach its horizon.
-	fig13MinNodes = 4
-	// halvesMinNodes gives each of two jobs that split the machine in
-	// half a node (fig12, fig14).
-	halvesMinNodes = 2
-)
-
 func init() {
 	Register(Experiment{
 		Name:           "fig13",
 		Desc:           "traffic-class isolation of a latency-critical allreduce over time",
-		DefaultOptions: fig13Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			r, err := Fig13TrafficClasses(opt)
-			if err != nil {
-				return nil, err
-			}
-			return r.Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 32},
+		MinNodes:       MinCellNodes,
+		Run:            fig13,
 	})
 	Register(Experiment{
 		Name:           "fig14",
 		Desc:           "guaranteed-minimum bandwidth split between two jobs over time",
-		DefaultOptions: fig14Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			r, err := Fig14Bandwidth(opt)
-			if err != nil {
-				return nil, err
-			}
-			return r.Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 32},
+		MinNodes:       MinCellNodes,
+		Run:            fig14,
 	})
 }
 
-// qosCheck rejects the options fig13 and fig14 cannot run: fewer than
-// minNodes nodes, or a fidelity other than packet. Both figures measure
-// traffic classes, which act on switch queues that fluid transfers
-// bypass, and fig14 counts bandwidth through Taps.OnPacketDelivered,
-// which fluid transfers never fire.
-func qosCheck(name string, opt Options, minNodes int) error {
-	if opt.Nodes < minNodes {
-		return fmt.Errorf("harness: %s needs at least %d nodes, got %d", name, minNodes, opt.Nodes)
-	}
-	f, err := fabric.ParseFidelity(opt.Fidelity)
-	if err != nil {
-		return err
-	}
-	if f != fabric.FidelityPacket {
+// qosCheck rejects a fidelity other than packet, which fig13 and fig14
+// cannot run: both figures measure traffic classes, which act on switch
+// queues that fluid transfers bypass, and fig14 counts bandwidth through
+// Taps.OnPacketDelivered, which fluid transfers never fire.
+func qosCheck(name string, opt Options) error {
+	if f := opt.fidelity(); f != fabric.FidelityPacket {
 		return fmt.Errorf("harness: %s runs only at packet fidelity, got %s", name, f)
 	}
 	return nil
@@ -106,48 +73,41 @@ func qosMinBandwidth() *qos.Config {
 	}}
 }
 
-// Fig13Point is one allreduce iteration in the Fig. 13 time series.
-type Fig13Point struct {
-	At     sim.Time
-	Impact float64
-}
-
-// Fig13Result reproduces Fig. 13: the congestion impact over time of an
-// 8 B MPI_Allreduce co-executed with a 256 KiB MPI_Alltoall on a
+// fig13 reproduces Fig. 13: the congestion impact over time of an 8 B
+// MPI_Allreduce co-executed with a 256 KiB MPI_Alltoall on a
 // bandwidth-tapered Malbec, with the two jobs in the same or in separate
-// traffic classes.
-type Fig13Result struct {
-	SameTC     []Fig13Point
-	SeparateTC []Fig13Point
-	// Steady-state impacts after the aggressor starts.
-	SameImpact, SeparateImpact float64
-}
-
-// Fig13TrafficClasses runs both configurations (in parallel — each owns
-// its network).
-func Fig13TrafficClasses(opt Options) (Fig13Result, error) {
-	opt = opt.withDefaults(fig13Defaults)
-	if err := qosCheck("fig13", opt, fig13MinNodes); err != nil {
-		return Fig13Result{}, err
+// traffic classes. It writes the steady-state impacts after the
+// aggressor starts plus one impact-over-time series per configuration;
+// the two configurations run in parallel, each on its own network.
+func fig13(opt Options) (*results.Result, error) {
+	if err := qosCheck("fig13", opt); err != nil {
+		return nil, err
 	}
 	type run struct {
-		pts    []Fig13Point
+		series results.Series
 		impact float64
 	}
 	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) run {
-		pts, impact := fig13Run(opt, separate)
-		return run{pts, impact}
+		s, impact := fig13Run(opt, separate)
+		return run{s, impact}
 	})
-	return Fig13Result{
-		SameTC: runs[0].pts, SameImpact: runs[0].impact,
-		SeparateTC: runs[1].pts, SeparateImpact: runs[1].impact,
-	}, nil
+	res := &results.Result{}
+	res.AddTable("steady-state", "configuration", "impact").
+		Row(results.String("same traffic class"), results.Float(runs[0].impact, 2)).
+		Row(results.String("separate traffic classes"), results.Float(runs[1].impact, 2))
+	res.AddSeries(runs[0].series)
+	res.AddSeries(runs[1].series)
+	return res, nil
 }
 
-func fig13Run(opt Options, separate bool) ([]Fig13Point, float64) {
+// fig13Run measures one fig13 configuration: the allreduce's impact over
+// time as a series, and its steady-state impact.
+func fig13Run(opt Options, separate bool) (results.Series, float64) {
 	latClass := 0 // same TC: both jobs in bulk
+	series := results.Series{Name: "same-tc", XUnit: "us", YUnit: "impact"}
 	if separate {
 		latClass = 1
+		series.Name = "separate-tc"
 	}
 	net := qosNetwork(opt, qosTwoClasses())
 	vNodes, aNodes := placement.Split(opt.Nodes, opt.Nodes/2, placement.Interleaved, nil)
@@ -161,7 +121,6 @@ func fig13Run(opt Options, separate bool) ([]Fig13Point, float64) {
 
 	// Run the allreduce continuously, recording iteration durations.
 	const horizon = 3 * sim.Millisecond
-	var pts []Fig13Point
 	baseline := stats.NewSample(64)
 	after := stats.NewSample(256)
 	var durs []struct {
@@ -192,9 +151,9 @@ func fig13Run(opt Options, separate bool) ([]Fig13Point, float64) {
 	}
 	base := baseline.Mean()
 	for _, d := range durs {
-		pts = append(pts, Fig13Point{At: d.at, Impact: d.dur.Microseconds() / base})
+		series.Points = append(series.Points, results.Point{X: d.at.Microseconds(), Y: d.dur.Microseconds() / base})
 	}
-	return pts, after.Mean() / base
+	return series, after.Mean() / base
 }
 
 // startAlltoall is the delayed-aggressor-start event handler of fig13Run;
@@ -209,61 +168,42 @@ func (s *startAlltoall) OnEvent(*sim.Engine, *sim.Event) {
 	s.agg = workloads.StartAlltoall(s.job, s.bytes)
 }
 
-// Result converts the measurement to the uniform structured form: the
-// steady-state table plus one impact-over-time series per configuration.
-func (r Fig13Result) Result() *results.Result {
-	res := &results.Result{}
-	res.AddTable("steady-state", "configuration", "impact").
-		Row(results.String("same traffic class"), results.Float(r.SameImpact, 2)).
-		Row(results.String("separate traffic classes"), results.Float(r.SeparateImpact, 2))
-	series := func(name string, pts []Fig13Point) results.Series {
-		s := results.Series{Name: name, XUnit: "us", YUnit: "impact"}
-		for _, p := range pts {
-			s.Points = append(s.Points, results.Point{X: p.At.Microseconds(), Y: p.Impact})
-		}
-		return s
+// fig14 reproduces Fig. 14: two bisection-bandwidth jobs on a tapered
+// system, either sharing TC1 or split across TC1 (min 80%) and TC2 (min
+// 10%). It writes each job's bandwidth split while both run, plus
+// per-job bandwidth series for each configuration; the two
+// configurations run in parallel, each on its own network.
+func fig14(opt Options) (*results.Result, error) {
+	if err := qosCheck("fig14", opt); err != nil {
+		return nil, err
 	}
-	res.AddSeries(series("same-tc", r.SameTC))
-	res.AddSeries(series("separate-tc", r.SeparateTC))
-	return res
-}
-
-// Fig14Series is one job's bandwidth-over-time trace.
-type Fig14Series struct {
-	Job     string
-	Bucket  sim.Time
-	GbsNode []float64 // per-node Gb/s per time bucket
-}
-
-// Fig14Result reproduces Fig. 14: two bisection-bandwidth jobs on a
-// tapered system, either sharing TC1 or split across TC1 (min 80%) and
-// TC2 (min 10%).
-type Fig14Result struct {
-	SameTC     []Fig14Series
-	SeparateTC []Fig14Series
-}
-
-// Fig14Bandwidth runs both configurations (in parallel — each owns its
-// network).
-func Fig14Bandwidth(opt Options) (Fig14Result, error) {
-	opt = opt.withDefaults(fig14Defaults)
-	if err := qosCheck("fig14", opt, halvesMinNodes); err != nil {
-		return Fig14Result{}, err
-	}
-	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []Fig14Series {
+	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []results.Series {
 		return fig14Run(opt, separate)
 	})
-	return Fig14Result{SameTC: runs[0], SeparateTC: runs[1]}, nil
+	res := &results.Result{}
+	t := res.AddTable("overlap-share", "configuration", "job1_share", "job2_share")
+	for i, cfg := range []string{"same TC", "separate TCs (min 80% / min 10%)"} {
+		j1, j2 := shareDuringOverlap(runs[i])
+		t.Row(results.String(cfg), results.Float(j1, 2), results.Float(j2, 2))
+	}
+	for _, run := range runs {
+		for _, s := range run {
+			res.AddSeries(s)
+		}
+	}
+	return res, nil
 }
 
-func fig14Run(opt Options, separate bool) []Fig14Series {
+// fig14Run measures one fig14 configuration: each job's per-node
+// bandwidth (Gb/s) per time bucket, as one series per job.
+func fig14Run(opt Options, separate bool) []results.Series {
 	net := qosNetwork(opt, qosMinBandwidth())
 
 	half := opt.Nodes / 2
 	j1Nodes, j2Nodes := placement.Split(opt.Nodes, half, placement.Interleaved, nil)
-	class2 := 0
+	class2, cfg := 0, "same-tc"
 	if separate {
-		class2 = 1
+		class2, cfg = 1, "separate-tc"
 	}
 
 	const (
@@ -302,15 +242,15 @@ func fig14Run(opt Options, separate bool) []Fig14Series {
 
 	net.RunFor(sim.Time(buckets) * bucket)
 
-	mk := func(i int, name string, nodes int) Fig14Series {
-		s := Fig14Series{Job: name, Bucket: bucket}
-		for _, bytes := range perJob[i] {
+	mk := func(i int, job string, nodes int) results.Series {
+		s := results.Series{Name: cfg + "/" + job, XUnit: "us", YUnit: "Gb/s/node"}
+		for b, bytes := range perJob[i] {
 			gbs := bytes * 8 / bucket.Seconds() / 1e9 / float64(nodes)
-			s.GbsNode = append(s.GbsNode, gbs)
+			s.Points = append(s.Points, results.Point{X: (sim.Time(b) * bucket).Microseconds(), Y: gbs})
 		}
 		return s
 	}
-	return []Fig14Series{
+	return []results.Series{
 		mk(0, "job1", len(j1Nodes)),
 		mk(1, "job2", len(j2Nodes)),
 	}
@@ -353,56 +293,18 @@ func (p *bisectionRank) post() {
 
 // shareDuringOverlap returns each job's mean bandwidth share while both
 // jobs run (buckets 12..22 with the default timing).
-func shareDuringOverlap(series []Fig14Series) (j1, j2 float64) {
-	sum := func(s Fig14Series, lo, hi int) float64 {
+func shareDuringOverlap(jobs []results.Series) (j1, j2 float64) {
+	sum := func(s results.Series) float64 {
 		t := 0.0
-		for i := lo; i < hi && i < len(s.GbsNode); i++ {
-			t += s.GbsNode[i]
+		for _, p := range s.Points[12:22] {
+			t += p.Y
 		}
 		return t
 	}
-	a := sum(series[0], 12, 22)
-	b := sum(series[1], 12, 22)
+	a := sum(jobs[0])
+	b := sum(jobs[1])
 	if a+b == 0 {
 		return 0, 0
 	}
 	return a / (a + b), b / (a + b)
-}
-
-// OverlapShares reports the bandwidth split while both jobs are active,
-// for each configuration.
-func (r Fig14Result) OverlapShares() (same [2]float64, separate [2]float64) {
-	s1, s2 := shareDuringOverlap(r.SameTC)
-	same = [2]float64{s1, s2}
-	p1, p2 := shareDuringOverlap(r.SeparateTC)
-	separate = [2]float64{p1, p2}
-	return
-}
-
-// Result converts the traces to the uniform structured form: per-job
-// bandwidth series for each configuration plus the overlap-share table.
-func (r Fig14Result) Result() *results.Result {
-	res := &results.Result{}
-	same, sep := r.OverlapShares()
-	res.AddTable("overlap-share", "configuration", "job1_share", "job2_share").
-		Row(results.String("same TC"), results.Float(same[0], 2), results.Float(same[1], 2)).
-		Row(results.String("separate TCs (min 80% / min 10%)"),
-			results.Float(sep[0], 2), results.Float(sep[1], 2))
-	add := func(cfg string, traces []Fig14Series) {
-		for _, tr := range traces {
-			s := results.Series{
-				Name:  cfg + "/" + tr.Job,
-				XUnit: "us", YUnit: "Gb/s/node",
-			}
-			for i, v := range tr.GbsNode {
-				s.Points = append(s.Points, results.Point{
-					X: (sim.Time(i) * tr.Bucket).Microseconds(), Y: v,
-				})
-			}
-			res.AddSeries(s)
-		}
-	}
-	add("same-tc", r.SameTC)
-	add("separate-tc", r.SeparateTC)
-	return res
 }

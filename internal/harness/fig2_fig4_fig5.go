@@ -11,51 +11,32 @@ import (
 	"repro/internal/topology"
 )
 
-var (
-	fig2Defaults = Options{Nodes: 64, MinIters: 200, MaxIters: 2000}
-	fig4Defaults = Options{Nodes: 64, MinIters: 20, MaxIters: 60}
-	fig5Defaults = Options{Nodes: 64, MinIters: 3, MaxIters: 10}
-)
-
 func init() {
 	Register(Experiment{
 		Name:           "fig2",
 		Desc:           "switch traversal latency distribution (2-hop minus 1-hop RoCE)",
-		DefaultOptions: fig2Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig2SwitchLatency(opt).Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 64, MinIters: 200, MaxIters: 2000},
+		Run:            fig2,
 	})
 	Register(Experiment{
 		Name:           "fig4",
 		Desc:           "latency and bandwidth vs node distance and message size",
-		DefaultOptions: fig4Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig4Distance(opt).Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 64, MinIters: 20, MaxIters: 60},
+		Run:            fig4,
 	})
 	Register(Experiment{
 		Name:           "fig5",
 		Desc:           "RTT/2 across software stacks and message sizes",
-		DefaultOptions: fig5Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig5Stacks(opt).Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 64, MinIters: 3, MaxIters: 10},
+		Run:            fig5,
 	})
 }
 
-// Fig2Result is the Fig. 2 switch-latency distribution for RoCE traffic:
-// the latency difference between 2-hop and 1-hop transfers.
-type Fig2Result struct {
-	Samples *stats.Sample // nanoseconds
-}
-
-// Fig2SwitchLatency measures the Rosetta traversal latency exactly as the
-// paper does: the difference between 2-hop (two switches, same group) and
-// 1-hop (same switch) path latencies for 8 B RoCE messages on a quiet
-// system.
-func Fig2SwitchLatency(opt Options) Fig2Result {
-	opt = opt.withDefaults(fig2Defaults)
+// fig2 reproduces Fig. 2, the switch-latency distribution for RoCE
+// traffic. It measures the Rosetta traversal latency exactly as the paper
+// does: the difference between 2-hop (two switches, same group) and 1-hop
+// (same switch) path latencies for 8 B messages on a quiet system.
+func fig2(opt Options) (*results.Result, error) {
 	sys := Shandy(opt.Nodes)
 	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
@@ -77,18 +58,12 @@ func Fig2SwitchLatency(opt Options) Fig2Result {
 	}
 	med := base.Median()
 
-	// 2-hop samples: nodes on two switches of the same group.
-	out := stats.NewSample(opt.MaxIters)
+	// 2-hop samples (nanoseconds): nodes on two switches of the same group.
+	s := stats.NewSample(opt.MaxIters)
 	for i := 0; i < opt.MaxIters; i++ {
 		l := oneWay(0, topology.NodeID(nps)).Nanoseconds()
-		out.Add(l - med)
+		s.Add(l - med)
 	}
-	return Fig2Result{Samples: out}
-}
-
-// Result converts the measurement to the uniform structured form.
-func (r Fig2Result) Result() *results.Result {
-	s := r.Samples
 	res := &results.Result{}
 	res.AddTable("distribution", "metric", "value_ns").
 		Row(results.String("mean"), results.Float(s.Mean(), 1)).
@@ -97,32 +72,18 @@ func (r Fig2Result) Result() *results.Result {
 		Row(results.String("p99"), results.Float(s.Percentile(99), 1)).
 		Row(results.String("min"), results.Float(s.Min(), 1)).
 		Row(results.String("max"), results.Float(s.Max(), 1))
-	return res
-}
-
-// Fig4Row is one (distance, size) cell of Fig. 4: the latency boxplot and
-// the streaming bandwidth.
-type Fig4Row struct {
-	Distance string
-	Size     int64
-	Latency  stats.BoxStats // microseconds
-	GBits    float64        // streaming bandwidth, Gb/s
-}
-
-// Fig4Result reproduces Fig. 4: latency and bandwidth for node distances
-// (same switch / different switches / different groups) across message
-// sizes, on an isolated system.
-type Fig4Result struct {
-	Rows []Fig4Row
+	return res, nil
 }
 
 // Fig4Sizes are the paper's four message sizes.
 var Fig4Sizes = [...]int64{8, 1024, 128 * 1024, 4 * 1024 * 1024}
 
-// Fig4Distance runs the Fig. 4 grid. Every (distance, size) point builds
-// a fresh network, so points run in parallel across opt.Jobs workers.
-func Fig4Distance(opt Options) Fig4Result {
-	opt = opt.withDefaults(fig4Defaults)
+// fig4 reproduces Fig. 4: latency boxplots (microseconds) and streaming
+// bandwidth for node distances (same switch / different switches /
+// different groups) across message sizes, on an isolated system. Every
+// (distance, size) point builds a fresh network, so points run in
+// parallel across opt.Jobs workers.
+func fig4(opt Options) (*results.Result, error) {
 	sys := Shandy(opt.Nodes)
 	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
@@ -147,7 +108,7 @@ func Fig4Distance(opt Options) Fig4Result {
 			points = append(points, point{d.name, d.dst, size})
 		}
 	}
-	rows := parallelMap(opt.gridJobs(), points, func(p point) Fig4Row {
+	rows := parallelMap(opt.gridJobs(), points, func(p point) []results.Value {
 		// Fresh network per point keeps points independent.
 		net := sys.build(opt.Seed)
 		lat := stats.NewSample(opt.MaxIters)
@@ -159,10 +120,21 @@ func Fig4Distance(opt Options) Fig4Result {
 			net.RunWhile(func() bool { return done == 0 })
 			lat.Add((done - start).Microseconds())
 		}
+		box := lat.Box()
 		gbits := streamBandwidth(sys, opt.Seed, topology.NodeID(p.dst), p.size)
-		return Fig4Row{Distance: p.name, Size: p.size, Latency: lat.Box(), GBits: gbits}
+		return []results.Value{
+			results.String(p.name), results.String(sizeName(p.size)),
+			results.Float(box.S, 2), results.Float(box.Q1, 2),
+			results.Float(box.Median, 2), results.Float(box.Q3, 2),
+			results.Float(box.L, 2), results.Float(gbits, 2),
+		}
 	})
-	return Fig4Result{Rows: rows}
+	res := &results.Result{}
+	t := res.AddTable("grid", "distance", "size", "S_us", "Q1", "median", "Q3", "L", "Gbps")
+	for _, row := range rows {
+		t.Row(row...)
+	}
+	return res, nil
 }
 
 // streamBandwidth measures pipelined point-to-point bandwidth with a
@@ -198,21 +170,6 @@ func streamBandwidth(sys System, seed uint64, dst topology.NodeID, size int64) f
 	return float64(size*int64(iters)) * 8 / finish.Seconds() / 1e9
 }
 
-// Result converts the measurement to the uniform structured form.
-func (r Fig4Result) Result() *results.Result {
-	res := &results.Result{}
-	t := res.AddTable("grid", "distance", "size", "S_us", "Q1", "median", "Q3", "L", "Gbps")
-	for _, row := range r.Rows {
-		t.Row(
-			results.String(row.Distance), results.String(sizeName(row.Size)),
-			results.Float(row.Latency.S, 2), results.Float(row.Latency.Q1, 2),
-			results.Float(row.Latency.Median, 2), results.Float(row.Latency.Q3, 2),
-			results.Float(row.Latency.L, 2), results.Float(row.GBits, 2),
-		)
-	}
-	return res
-}
-
 func sizeName(s int64) string {
 	switch {
 	case s >= 1<<20:
@@ -224,26 +181,14 @@ func sizeName(s int64) string {
 	}
 }
 
-// Fig5Point is one (stack, size) measurement of Fig. 5.
-type Fig5Point struct {
-	Stack mpi.Stack
-	Size  int64
-	RTT2  sim.Time // half round-trip
-}
-
-// Fig5Result reproduces Fig. 5: RTT/2 across software stacks and sizes.
-type Fig5Result struct {
-	Points []Fig5Point
-}
-
 // Fig5Sizes spans 8 B to 16 MiB in decade-ish steps like the paper's
 // log-scale x axis.
 var Fig5Sizes = [...]int64{8, 64, 512, 1024, 4096, 32 * 1024, 256 * 1024, 2 << 20, 16 << 20}
 
-// Fig5Stacks runs the Fig. 5 grid between two nodes in different groups.
-// Points build independent networks and run in parallel.
-func Fig5Stacks(opt Options) Fig5Result {
-	opt = opt.withDefaults(fig5Defaults)
+// fig5 reproduces Fig. 5: the median RTT/2 across software stacks and
+// message sizes between two nodes in different groups. Points build
+// independent networks and run in parallel.
+func fig5(opt Options) (*results.Result, error) {
 	sys := Shandy(opt.Nodes)
 	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
@@ -258,7 +203,7 @@ func Fig5Stacks(opt Options) Fig5Result {
 			points = append(points, point{st, size})
 		}
 	}
-	out := parallelMap(opt.gridJobs(), points, func(p point) Fig5Point {
+	rtt2 := parallelMap(opt.gridJobs(), points, func(p point) sim.Time {
 		net := sys.build(opt.Seed)
 		j := mpi.NewJob(net, []topology.NodeID{0, topology.NodeID(npg)},
 			mpi.JobOpts{Stack: p.stack})
@@ -269,20 +214,15 @@ func Fig5Stacks(opt Options) Fig5Result {
 		for _, r := range rtts {
 			s.Add(float64(r))
 		}
-		return Fig5Point{Stack: p.stack, Size: p.size, RTT2: sim.Time(s.Median())}
+		return sim.Time(s.Median())
 	})
-	return Fig5Result{Points: out}
-}
-
-// Result converts the measurement to the uniform structured form.
-func (r Fig5Result) Result() *results.Result {
 	res := &results.Result{}
 	t := res.AddTable("rtt", "stack", "size", "rtt2_us")
-	for _, p := range r.Points {
+	for i, p := range points {
 		t.Row(
-			results.String(p.Stack.String()), results.String(sizeName(p.Size)),
-			results.Float(p.RTT2.Microseconds(), 2),
+			results.String(p.stack.String()), results.String(sizeName(p.size)),
+			results.Float(rtt2[i].Microseconds(), 2),
 		)
 	}
-	return res
+	return res, nil
 }

@@ -8,54 +8,31 @@ import (
 	"repro/internal/topology"
 )
 
-var fig6Defaults = Options{Nodes: 64}
-
 func init() {
 	Register(Experiment{
 		Name:           "fig6",
 		Desc:           "bisection and MPI_Alltoall aggregate bandwidth vs theoretical peak",
-		DefaultOptions: fig6Defaults,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig6Bisection(opt).Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 64},
+		Run:            fig6,
 	})
-}
-
-// Fig6Point is one measured series point of Fig. 6.
-type Fig6Point struct {
-	Series  string
-	Size    int64
-	PPN     int
-	TBits   float64 // aggregate bandwidth, Tb/s
-	PeakFrc float64 // fraction of the theoretical peak
-}
-
-// Fig6Result reproduces Fig. 6: bisection and MPI_Alltoall aggregate
-// bandwidth versus message size, against the theoretical peaks derived
-// from the topology (§II-G).
-type Fig6Result struct {
-	BisectionPeakTBits float64
-	AlltoallPeakTBits  float64
-	Points             []Fig6Point
 }
 
 // Fig6Sizes are the paper's x-axis sizes (8 B ... 128 KiB).
 var Fig6Sizes = [...]int64{8, 32, 128, 512, 2048, 8192, 32 * 1024, 128 * 1024}
 
-// Fig6Bisection measures both series. PPN follows opt.PPN for the alltoall
-// series (the paper shows 16 and 24; reduced-scale runs use smaller
-// values since ranks multiply event counts). Every (series, size) point
-// builds its own network, so points run in parallel across opt.Jobs.
-func Fig6Bisection(opt Options) Fig6Result {
-	opt = opt.withDefaults(fig6Defaults)
+// fig6 reproduces Fig. 6: bisection and MPI_Alltoall aggregate bandwidth
+// (Tb/s) versus message size, against the theoretical peaks derived from
+// the topology (§II-G). PPN follows opt.PPN for the alltoall series (the
+// paper shows 16 and 24; reduced-scale runs use smaller values since
+// ranks multiply event counts). Every (series, size) point builds its own
+// network, so points run in parallel across opt.Jobs.
+func fig6(opt Options) (*results.Result, error) {
 	sys := Shandy(opt.Nodes)
 	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	topo := topology.MustNew(sys.Topo)
-	res := Fig6Result{
-		BisectionPeakTBits: float64(topo.BisectionPeakBits(topology.LinkBits)) / 1e12,
-		AlltoallPeakTBits:  float64(topo.AlltoallPeakBits(topology.LinkBits)) / 1e12,
-	}
+	bisectionPeak := float64(topo.BisectionPeakBits(topology.LinkBits)) / 1e12
+	alltoallPeak := float64(topo.AlltoallPeakBits(topology.LinkBits)) / 1e12
 	n := topo.Nodes()
 	type point struct {
 		series string
@@ -68,21 +45,29 @@ func Fig6Bisection(opt Options) Fig6Result {
 	for _, size := range Fig6Sizes {
 		points = append(points, point{"alltoall", size})
 	}
-	res.Points = parallelMap(opt.gridJobs(), points, func(p point) Fig6Point {
+	rows := parallelMap(opt.gridJobs(), points, func(p point) []results.Value {
+		ppn, tb, peak := 1, 0.0, bisectionPeak
 		if p.series == "bisection" {
-			tb := measureBisection(sys, opt.Seed, n, p.size)
-			return Fig6Point{
-				Series: "bisection", Size: p.size, PPN: 1, TBits: tb,
-				PeakFrc: tb / res.BisectionPeakTBits,
-			}
+			tb = measureBisection(sys, opt.Seed, n, p.size)
+		} else {
+			ppn, peak = opt.PPN, alltoallPeak
+			tb = measureAlltoall(sys, opt.Seed, n, opt.PPN, p.size)
 		}
-		tb := measureAlltoall(sys, opt.Seed, n, opt.PPN, p.size)
-		return Fig6Point{
-			Series: "alltoall", Size: p.size, PPN: opt.PPN, TBits: tb,
-			PeakFrc: tb / res.AlltoallPeakTBits,
+		return []results.Value{
+			results.String(p.series), results.String(sizeName(p.size)),
+			results.Int(int64(ppn)), results.Float(tb, 3),
+			results.Float(tb/peak, 2),
 		}
 	})
-	return res
+	res := &results.Result{}
+	res.AddTable("peaks", "metric", "Tbps").
+		Row(results.String("theoretical bisection"), results.Float(bisectionPeak, 2)).
+		Row(results.String("theoretical alltoall"), results.Float(alltoallPeak, 2))
+	t := res.AddTable("points", "series", "size", "PPN", "Tbps", "peak_frac")
+	for _, row := range rows {
+		t.Row(row...)
+	}
+	return res, nil
 }
 
 // measureBisection pairs every node with its opposite across the group
@@ -138,21 +123,4 @@ func measureAlltoall(sys System, seed uint64, n, ppn int, size int64) float64 {
 	net.RunFor(meas)
 	running = false
 	return float64(net.BytesDelivered-startBytes) * 8 / meas.Seconds() / 1e12
-}
-
-// Result converts the measurement to the uniform structured form.
-func (r Fig6Result) Result() *results.Result {
-	res := &results.Result{}
-	res.AddTable("peaks", "metric", "Tbps").
-		Row(results.String("theoretical bisection"), results.Float(r.BisectionPeakTBits, 2)).
-		Row(results.String("theoretical alltoall"), results.Float(r.AlltoallPeakTBits, 2))
-	t := res.AddTable("points", "series", "size", "PPN", "Tbps", "peak_frac")
-	for _, p := range r.Points {
-		t.Row(
-			results.String(p.Series), results.String(sizeName(p.Size)),
-			results.Int(int64(p.PPN)), results.Float(p.TBits, 3),
-			results.Float(p.PeakFrc, 2),
-		)
-	}
-	return res
 }

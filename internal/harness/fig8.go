@@ -9,44 +9,26 @@ import (
 	"repro/internal/workloads"
 )
 
-var fig8Defaults = Options{Nodes: 64, MinIters: 20, MaxIters: 60}
-
 func init() {
 	Register(Experiment{
 		Name:           "fig8",
 		Desc:           "Tailbench latency distributions with and without incast congestion",
-		DefaultOptions: fig8Defaults,
+		DefaultOptions: Options{Nodes: 64, MinIters: 20, MaxIters: 60},
 		MinNodes:       MinCellNodes,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig8Tailbench(opt).Result(), nil
-		},
+		Run:            fig8,
 	})
 }
 
-// Fig8Entry is one (application, system) pair of Fig. 8: the request-time
-// distribution with and without endpoint congestion.
-type Fig8Entry struct {
-	App       string
-	System    string
-	Isolated  *stats.Sample // request times, microseconds
-	Congested *stats.Sample
-}
-
-// Fig8Result reproduces Fig. 8: Tailbench latency distributions with and
-// without an incast aggressor (linear allocation, ~10%/90% victim split),
-// on Aries and Slingshot, annotated with the 95th/99th percentiles.
-type Fig8Result struct {
-	Entries []Fig8Entry
-}
-
-// Fig8Tailbench runs the experiment. Tailbench service times run at the
-// grid's documented 1/100 scale. The default scale is 64 nodes so the ~10%
+// fig8 reproduces Fig. 8: Tailbench request-time distributions
+// (microseconds) with and without an incast aggressor (linear allocation,
+// ~10%/90% victim split), on Aries and Slingshot, annotated with the
+// 95th/99th percentiles. Tailbench service times run at the grid's
+// documented 1/100 scale. The default scale is 64 nodes so the ~10%
 // victim allocation spans more than one switch — the client/server path
-// must cross fabric the congestion tree reaches, as it does at the paper's
-// 512-node scale. Each (system, app) pair builds its own network, so
-// pairs run in parallel across opt.Jobs workers.
-func Fig8Tailbench(opt Options) Fig8Result {
-	opt = opt.withDefaults(fig8Defaults)
+// must cross fabric the congestion tree reaches, as it does at the
+// paper's 512-node scale. Each (system, app) pair builds its own network,
+// so pairs run in parallel across opt.Jobs workers.
+func fig8(opt Options) (*results.Result, error) {
 	type pair struct {
 		sys System
 		app workloads.App
@@ -59,7 +41,7 @@ func Fig8Tailbench(opt Options) Fig8Result {
 			pairs = append(pairs, pair{sys, app})
 		}
 	}
-	entries := parallelMap(opt.gridJobs(), pairs, func(p pair) Fig8Entry {
+	rows := parallelMap(opt.gridJobs(), pairs, func(p pair) []results.Value {
 		net := p.sys.build(opt.Seed)
 		rng := sim.NewRNG(opt.Seed + 99)
 		nv := max(2, opt.Nodes/10)
@@ -74,11 +56,23 @@ func Fig8Tailbench(opt Options) Fig8Result {
 		cong := sampleApp(vjob, p.app, rng, opt.MaxIters)
 		agg.Stop()
 
-		return Fig8Entry{
-			App: p.app.Name, System: p.sys.Name, Isolated: iso, Congested: cong,
+		return []results.Value{
+			results.String(p.app.Name), results.String(p.sys.Name),
+			results.Float(iso.Median(), 1), results.Float(iso.Percentile(95), 1),
+			results.Float(iso.Percentile(99), 1),
+			results.Float(cong.Median(), 1), results.Float(cong.Percentile(95), 1),
+			results.Float(cong.Percentile(99), 1),
+			results.Float(cong.Mean()/iso.Mean(), 2),
 		}
 	})
-	return Fig8Result{Entries: entries}
+	res := &results.Result{}
+	t := res.AddTable("tail", "app", "system",
+		"iso_p50_us", "iso_p95", "iso_p99",
+		"cong_p50_us", "cong_p95", "cong_p99", "impact")
+	for _, row := range rows {
+		t.Row(row...)
+	}
+	return res, nil
 }
 
 func sampleApp(j *mpi.Job, app workloads.App, rng *sim.RNG, iters int) *stats.Sample {
@@ -95,23 +89,4 @@ func sampleApp(j *mpi.Job, app workloads.App, rng *sim.RNG, iters int) *stats.Sa
 		s.Add((net.Now() - start).Microseconds())
 	}
 	return s
-}
-
-// Result converts the measurement to the uniform structured form.
-func (r Fig8Result) Result() *results.Result {
-	res := &results.Result{}
-	t := res.AddTable("tail", "app", "system",
-		"iso_p50_us", "iso_p95", "iso_p99",
-		"cong_p50_us", "cong_p95", "cong_p99", "impact")
-	for _, e := range r.Entries {
-		t.Row(
-			results.String(e.App), results.String(e.System),
-			results.Float(e.Isolated.Median(), 1), results.Float(e.Isolated.Percentile(95), 1),
-			results.Float(e.Isolated.Percentile(99), 1),
-			results.Float(e.Congested.Median(), 1), results.Float(e.Congested.Percentile(95), 1),
-			results.Float(e.Congested.Percentile(99), 1),
-			results.Float(e.Congested.Mean()/e.Isolated.Mean(), 2),
-		)
-	}
-	return res
 }

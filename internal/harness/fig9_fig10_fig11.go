@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/placement"
@@ -9,26 +8,18 @@ import (
 	"repro/internal/stats"
 )
 
-var (
-	fig9Defaults  = Options{Nodes: 48, MinIters: 4, MaxIters: 10}
-	fig10Defaults = Options{Nodes: 48, MinIters: 3, MaxIters: 8}
-	fig11Defaults = Options{Nodes: 64, MinIters: 3, MaxIters: 8}
-)
-
 func init() {
 	Register(Experiment{
 		Name:           "fig9",
 		Desc:           "congestion-impact heatmap: victims vs (system, aggressor, split)",
-		DefaultOptions: fig9Defaults,
+		DefaultOptions: Options{Nodes: 48, MinIters: 4, MaxIters: 10},
 		MinNodes:       MinCellNodes,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig9Heatmap(opt, opt.Victims).Result(), nil
-		},
+		Run:            fig9,
 	})
 	Register(Experiment{
 		Name:           "fig10",
 		Desc:           "impact distributions across allocation policies (panels A/B/C)",
-		DefaultOptions: fig10Defaults,
+		DefaultOptions: Options{Nodes: 48, MinIters: 3, MaxIters: 8},
 		MinNodes:       MinCellNodes,
 		// The paper's panel variants: B raises aggressor PPN (24 at
 		// paper scale, 4 reduced), C shrinks the machine. Applied to
@@ -46,34 +37,92 @@ func init() {
 			}
 			return opt
 		},
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig10Distributions(opt, opt.Victims, opt.Panel).Result(), nil
-		},
+		Run: fig10,
 	})
 	Register(Experiment{
 		Name:           "fig11",
 		Desc:           "full-system application heatmap under congestion (random allocation)",
-		DefaultOptions: fig11Defaults,
+		DefaultOptions: Options{Nodes: 64, MinIters: 3, MaxIters: 8},
 		MinNodes:       MinCellNodes,
-		Run: func(opt Options) (*results.Result, error) {
-			return Fig11FullScale(opt).Result(), nil
-		},
+		Run:            fig11,
 	})
 }
 
-// Fig9Result is the congestion-impact heatmap of Fig. 9: victims as
-// columns; (system, aggressor, split) as rows.
-type Fig9Result struct {
-	Columns []string
-	Rows    []Fig9RowResult
+// heatRow is one row of a congestion heatmap: its key cells, and the
+// cell every victim column of the row is measured in. measureRows fills
+// the spec's scale, seed and engine fields from the options.
+type heatRow struct {
+	keys []results.Value
+	spec CellSpec
 }
 
-// Fig9RowResult is one heatmap row.
-type Fig9RowResult struct {
-	System    string
-	Aggressor string
-	AggrFrac  float64
-	Cells     []CellResult
+// measureRows measures every row against every victim and returns the
+// cells row-major. Each cell gets its seed (opt.Seed+1, +2, ... in
+// row-major order) before any runs, and RunGrid fans the independent
+// cells over its worker pool.
+func measureRows(opt Options, rows []heatRow, victims []Victim) []CellResult {
+	points := make([]GridPoint, 0, len(rows)*len(victims))
+	seed := opt.Seed
+	for _, row := range rows {
+		spec := row.spec
+		spec.Sys.Domains = opt.Domains
+		spec.Sys.Fidelity = opt.fidelity()
+		spec.TotalNodes = opt.Nodes
+		spec.AggrPPN = opt.PPN
+		spec.MinIters, spec.MaxIters = opt.MinIters, opt.MaxIters
+		for _, v := range victims {
+			seed++
+			spec.Seed = seed
+			points = append(points, GridPoint{Spec: spec, Victim: v})
+		}
+	}
+	return RunGrid(points, opt.gridJobs())
+}
+
+// heatmap measures a congestion heatmap and writes it as the result's
+// one table: the key columns, then one impact column per victim, N.A.
+// where the victim cannot run at the row's node count.
+func heatmap(opt Options, table string, keyCols []string, rows []heatRow, victims []Victim) *results.Result {
+	cells := measureRows(opt, rows, victims)
+	cols := append(make([]string, 0, len(keyCols)+len(victims)), keyCols...)
+	for _, v := range victims {
+		cols = append(cols, v.Label)
+	}
+	res := &results.Result{}
+	t := res.AddTable(table, cols...)
+	for i, row := range rows {
+		vals := append(make([]results.Value, 0, len(cols)), row.keys...)
+		for _, c := range cells[i*len(victims) : (i+1)*len(victims)] {
+			if c.NA {
+				vals = append(vals, results.NA())
+			} else {
+				vals = append(vals, results.Float(c.Impact, 1))
+			}
+		}
+		t.Row(vals...)
+	}
+	return res
+}
+
+// congestionRows lists the rows of a victim/aggressor heatmap: every
+// system x aggressor x victim split under one allocation policy, keyed
+// by system name, aggressor and aggressor fraction.
+func congestionRows(systems []System, alloc placement.Policy, splits []float64) []heatRow {
+	var rows []heatRow
+	for _, sys := range systems {
+		for _, kind := range []AggressorKind{AlltoallAggressor, IncastAggressor} {
+			for _, vf := range splits {
+				rows = append(rows, heatRow{
+					keys: []results.Value{
+						results.String(sys.Name), results.String(kind.String()),
+						results.Float(aggrFrac(vf), 2),
+					},
+					spec: CellSpec{Sys: sys, VictimFrac: vf, Aggressor: kind, Alloc: alloc},
+				})
+			}
+		}
+	}
+	return rows
 }
 
 // Fig9Splits are the paper's victim/aggressor splits: ~90/10, ~50/50,
@@ -81,14 +130,16 @@ type Fig9RowResult struct {
 // counts).
 var Fig9Splits = [...]float64{0.9, 0.5, 0.1}
 
-// Fig9Heatmap runs the Fig. 9 grid on both systems with linear allocation.
-// The paper runs 512-node experiments on 698- and 1024-node machines; the
-// same headroom ratio is kept here so a linear split cannot align the two
-// jobs onto disjoint Dragonfly groups (which would eliminate the
-// interference the experiment studies).
-func Fig9Heatmap(opt Options, set VictimSet) Fig9Result {
-	opt = opt.withDefaults(fig9Defaults)
-	return congestionGrid(opt, Victims(set), placement.Linear, gridSystems(opt.Nodes), Fig9Splits[:])
+// fig9 reproduces the congestion-impact heatmap of Fig. 9 — victims as
+// columns; (system, aggressor, split) as rows — on both systems with
+// linear allocation (the paper's worst case: 93x on Aries, 1.3x on
+// Slingshot). The paper runs 512-node experiments on 698- and
+// 1024-node machines; the same headroom ratio is kept here so a linear
+// split cannot align the two jobs onto disjoint Dragonfly groups (which
+// would eliminate the interference the experiment studies).
+func fig9(opt Options) (*results.Result, error) {
+	rows := congestionRows(gridSystems(opt.Nodes), placement.Linear, Fig9Splits[:])
+	return heatmap(opt, "heatmap", []string{"system", "aggressor", "aggr_frac"}, rows, Victims(opt.Victims)), nil
 }
 
 // gridSystems builds the Aries and Slingshot machines with the paper's
@@ -97,175 +148,47 @@ func gridSystems(nodes int) []System {
 	return []System{Crystal(nodes * 3 / 2), Shandy(nodes * 2)}
 }
 
-// congestionGrid builds every cell of a heatmap up front — assigning each
-// its seed in row-major order, exactly as the sequential runner did — and
-// fans the independent cells out over RunGrid's worker pool.
-func congestionGrid(opt Options, victims []Victim, alloc placement.Policy, systems []System, splits []float64) Fig9Result {
-	res := Fig9Result{}
-	for _, v := range victims {
-		res.Columns = append(res.Columns, v.Label)
-	}
-	var points []GridPoint
-	seed := opt.Seed
-	for _, sys := range systems {
-		sys.Domains = opt.Domains
-		sys.Fidelity = opt.fidelity()
-		for _, kind := range []AggressorKind{AlltoallAggressor, IncastAggressor} {
-			for _, vf := range splits {
-				res.Rows = append(res.Rows, Fig9RowResult{
-					System:    sys.Name,
-					Aggressor: kind.String(),
-					AggrFrac:  aggrFrac(vf),
-				})
-				for _, v := range victims {
-					seed++
-					points = append(points, GridPoint{
-						Spec: CellSpec{
-							Sys:        sys,
-							TotalNodes: opt.Nodes,
-							VictimFrac: vf,
-							Aggressor:  kind,
-							Alloc:      alloc,
-							AggrPPN:    opt.PPN,
-							Seed:       seed,
-							MinIters:   opt.MinIters,
-							MaxIters:   opt.MaxIters,
-						},
-						Victim: v,
-					})
-				}
-			}
-		}
-	}
-	cells := RunGrid(points, opt.gridJobs())
-	for i := range res.Rows {
-		res.Rows[i].Cells = cells[i*len(victims) : (i+1)*len(victims)]
-	}
-	return res
-}
-
-// Max returns the largest impact per system, the paper's headline numbers
-// (worst case 93x on Aries vs 1.3x on Slingshot in Fig. 9).
-func (r Fig9Result) Max() map[string]float64 {
-	out := map[string]float64{}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			if !c.NA && c.Impact > out[row.System] {
-				out[row.System] = c.Impact
-			}
-		}
-	}
-	return out
-}
-
-// Result converts the heatmap to the uniform structured form: one table
-// with a column per victim.
-func (r Fig9Result) Result() *results.Result {
+// fig10 reproduces one panel of Fig. 10 (A: allocations at 1 PPN, B:
+// aggressor at high PPN, C: reduced node count): per system and
+// allocation policy, the distribution of congestion impacts across all
+// victim/aggressor combinations of the Fig. 9 grid.
+func fig10(opt Options) (*results.Result, error) {
+	victims := Victims(opt.Victims)
 	res := &results.Result{}
-	cols := append([]string{"system", "aggressor", "aggr_frac"}, r.Columns...)
-	t := res.AddTable("heatmap", cols...)
-	for _, row := range r.Rows {
-		cells := []results.Value{
-			results.String(row.System), results.String(row.Aggressor),
-			results.Float(row.AggrFrac, 2),
-		}
-		for _, c := range row.Cells {
-			if c.NA {
-				cells = append(cells, results.NA())
-			} else {
-				cells = append(cells, results.Float(c.Impact, 1))
-			}
-		}
-		t.Row(cells...)
-	}
-	return res
-}
-
-// Fig10Variant is one panel of Fig. 10: the distribution of all heatmap
-// elements for a given allocation policy.
-type Fig10Variant struct {
-	System string
-	Alloc  placement.Policy
-	// Impacts is the distribution of congestion impacts across all
-	// victim/aggressor combinations.
-	Impacts *stats.Sample
-	Max     float64
-}
-
-// Fig10Result reproduces Fig. 10's three panels (A: allocations at 1 PPN,
-// B: aggressor at high PPN, C: reduced node count).
-type Fig10Result struct {
-	Panel    string
-	Variants []Fig10Variant
-}
-
-// Fig10Distributions runs one Fig. 10 panel. ppn is the aggressor PPN
-// (panel B uses 24 in the paper); nodes the total node count (panel C
-// shrinks it).
-func Fig10Distributions(opt Options, set VictimSet, panel string) Fig10Result {
-	opt = opt.withDefaults(fig10Defaults)
-	res := Fig10Result{Panel: panel}
+	t := res.AddTable("panel "+opt.Panel, "system", "allocation", "median_C", "p95_C", "max_C")
 	for _, sys := range gridSystems(opt.Nodes) {
 		for _, alloc := range []placement.Policy{placement.Linear, placement.Interleaved, placement.Random} {
-			grid := congestionGrid(opt, Victims(set), alloc, []System{sys}, Fig9Splits[:])
+			cells := measureRows(opt, congestionRows([]System{sys}, alloc, Fig9Splits[:]), victims)
 			sample := stats.NewSample(64)
 			max := 0.0
-			for _, row := range grid.Rows {
-				for _, c := range row.Cells {
-					if c.NA || math.IsNaN(c.Impact) {
-						continue
-					}
-					sample.Add(c.Impact)
-					if c.Impact > max {
-						max = c.Impact
-					}
+			for _, c := range cells {
+				if c.NA || math.IsNaN(c.Impact) {
+					continue
+				}
+				sample.Add(c.Impact)
+				if c.Impact > max {
+					max = c.Impact
 				}
 			}
-			res.Variants = append(res.Variants, Fig10Variant{
-				System: sys.Name, Alloc: alloc, Impacts: sample, Max: max,
-			})
+			t.Row(
+				results.String(sys.Name), results.String(alloc.String()),
+				results.Float(sample.Median(), 2), results.Float(sample.Percentile(95), 2),
+				results.Float(max, 1),
+			)
 		}
 	}
-	return res
+	return res, nil
 }
 
-// Result converts the panel to the uniform structured form.
-func (r Fig10Result) Result() *results.Result {
-	res := &results.Result{}
-	t := res.AddTable(fmt.Sprintf("panel %s", r.Panel),
-		"system", "allocation", "median_C", "p95_C", "max_C")
-	for _, v := range r.Variants {
-		t.Row(
-			results.String(v.System), results.String(v.Alloc.String()),
-			results.Float(v.Impacts.Median(), 2), results.Float(v.Impacts.Percentile(95), 2),
-			results.Float(v.Max, 1),
-		)
-	}
-	return res
-}
+// Fig11Splits are the victim fractions of Fig. 11.
+var Fig11Splits = [...]float64{0.75, 0.5, 0.25}
 
-// Fig11Result is the full-system heatmap of Fig. 11: applications under
-// congestion using all nodes of Shandy, random allocation, with N.A.
-// entries where MILC/HPCG cannot run (non-power-of-two victim node count).
-type Fig11Result struct {
-	Columns []string
-	Rows    []Fig9RowResult
-}
-
-// Fig11Splits are the aggressor fractions of Fig. 11.
-var Fig11Splits = [...]float64{0.75, 0.5, 0.25} // victim fractions
-
-// Fig11FullScale runs the application victims at the largest configured
-// scale with random allocation (the paper: that is the allocation
-// generating the most congestion).
-func Fig11FullScale(opt Options) Fig11Result {
-	opt = opt.withDefaults(fig11Defaults)
-	grid := congestionGrid(opt, Victims(VictimsApps), placement.Random,
-		[]System{Shandy(opt.Nodes)}, Fig11Splits[:])
-	return Fig11Result{Columns: grid.Columns, Rows: grid.Rows}
-}
-
-// Result converts the heatmap to the uniform structured form.
-func (r Fig11Result) Result() *results.Result {
-	return Fig9Result{Columns: r.Columns, Rows: r.Rows}.Result()
+// fig11 reproduces the full-system heatmap of Fig. 11: the application
+// victims under congestion using all nodes of Shandy with random
+// allocation (the paper: that is the allocation generating the most
+// congestion), with N.A. entries where MILC/HPCG cannot run
+// (non-power-of-two victim node count).
+func fig11(opt Options) (*results.Result, error) {
+	rows := congestionRows([]System{Shandy(opt.Nodes)}, placement.Random, Fig11Splits[:])
+	return heatmap(opt, "heatmap", []string{"system", "aggressor", "aggr_frac"}, rows, Victims(VictimsApps)), nil
 }

@@ -107,11 +107,11 @@ func (k AggressorKind) String() string {
 	return "all-to-all"
 }
 
-// MinCellNodes is the smallest machine a victim/aggressor experiment can
-// split into two jobs: RunCell reserves two nodes for the aggressor job
-// and fig8 two for the victim job, so with fewer than three nodes the
-// other job is empty.
-const MinCellNodes = 3
+// MinCellNodes is the smallest machine a two-job experiment can split
+// into jobs that both measure something: each job needs two nodes. A
+// one-node victim's collectives never leave its node, and a one-node
+// aggressor or bisection job loads no link.
+const MinCellNodes = 4
 
 // CellSpec fully describes one congestion-grid cell. TotalNodes must be
 // at least MinCellNodes.

@@ -70,9 +70,8 @@ func (o Options) fidelity() fabric.Fidelity {
 	return f
 }
 
-// withDefaults fills zero fields from an experiment's default options
-// (the single source shared with its registry entry), validates the
-// iteration range, and applies the generic fallbacks.
+// withDefaults fills zero fields from an experiment's default options,
+// validates the iteration range, and applies the generic fallbacks.
 func (o Options) withDefaults(d Options) Options {
 	if o.Nodes == 0 {
 		o.Nodes = d.Nodes

@@ -12,39 +12,138 @@ import (
 
 // The harness tests assert the *shape* of each paper figure at reduced
 // scale: who wins, by roughly what factor, and where crossovers fall.
+// They run experiments through the registry and read cells by table and
+// column name.
+
+// runExp runs a registered experiment, failing the test on an error.
+func runExp(t *testing.T, name string, opt Options) *results.Result {
+	t.Helper()
+	res, err := Lookup(name).Run(opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
+
+// table returns a result's named table, failing the test without one.
+func table(t *testing.T, res *results.Result, name string) *results.Table {
+	t.Helper()
+	tab := res.Table(name)
+	if tab == nil {
+		t.Fatalf("%s: no %q table", res.Meta.Experiment, name)
+	}
+	return tab
+}
+
+// col returns the index of a table's named column, failing the test
+// without one.
+func col(t *testing.T, tab *results.Table, name string) int {
+	t.Helper()
+	i := tab.Col(name)
+	if i < 0 {
+		t.Fatalf("table %q has no %q column", tab.Name, name)
+	}
+	return i
+}
+
+// num returns the number in a row's named column, NaN for N.A.
+func num(t *testing.T, tab *results.Table, row []results.Value, name string) float64 {
+	t.Helper()
+	v, ok := row[col(t, tab, name)].Float64()
+	if !ok {
+		return math.NaN()
+	}
+	return v
+}
+
+// label returns the label in a row's named column.
+func label(t *testing.T, tab *results.Table, row []results.Value, name string) string {
+	t.Helper()
+	return row[col(t, tab, name)].Str
+}
+
+// series returns a result's named series, failing the test without one.
+func series(t *testing.T, res *results.Result, name string) results.Series {
+	t.Helper()
+	for _, s := range res.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("%s: no %q series", res.Meta.Experiment, name)
+	return results.Series{}
+}
+
+// heatmapKeys is the number of key columns before a heatmap's impact
+// columns.
+const heatmapKeys = 3
+
+// maxImpactBy returns a heatmap's largest impact per value of its key
+// column key; N.A. cells are skipped.
+func maxImpactBy(t *testing.T, tab *results.Table, key string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, row := range tab.Rows {
+		k := label(t, tab, row, key)
+		for _, v := range row[heatmapKeys:] {
+			if x, ok := v.Float64(); ok && x > out[k] {
+				out[k] = x
+			}
+		}
+	}
+	return out
+}
 
 func TestFig2Shape(t *testing.T) {
-	r := Fig2SwitchLatency(Options{Nodes: 32, MaxIters: 500})
-	s := r.Samples
-	if m := s.Mean(); m < 330 || m > 370 {
+	res := runExp(t, "fig2", Options{Nodes: 32, MaxIters: 500})
+	dist := table(t, res, "distribution")
+	metric := func(name string) float64 {
+		for _, row := range dist.Rows {
+			if label(t, dist, row, "metric") == name {
+				return num(t, dist, row, "value_ns")
+			}
+		}
+		t.Fatalf("missing metric %s", name)
+		return 0
+	}
+	if m := metric("mean"); m < 330 || m > 370 {
 		t.Errorf("switch latency mean = %.1f ns, want ~350", m)
 	}
-	if med := s.Median(); med < 330 || med > 370 {
+	if med := metric("median"); med < 330 || med > 370 {
 		t.Errorf("median = %.1f ns", med)
 	}
 	// "All the distribution lying between 300 and 400 ns, except for a
 	// few outliers."
-	if p1 := s.Percentile(1); p1 < 290 {
+	if p1 := metric("p1"); p1 < 290 {
 		t.Errorf("p1 = %.1f ns, want >= 290", p1)
 	}
-	if p99 := s.Percentile(99); p99 > 410 {
+	if p99 := metric("p99"); p99 > 410 {
 		t.Errorf("p99 = %.1f ns, want <= 410", p99)
 	}
-	if !strings.Contains(results.TextString(r.Result()), "median") {
+	if !strings.Contains(results.TextString(res), "median") {
 		t.Error("render missing median row")
 	}
 }
 
 func TestFig4Shape(t *testing.T) {
-	r := Fig4Distance(Options{Nodes: 32, MaxIters: 12})
-	byKey := map[string]Fig4Row{}
-	for _, row := range r.Rows {
-		byKey[row.Distance+sizeName(row.Size)] = row
+	grid := table(t, runExp(t, "fig4", Options{Nodes: 32, MaxIters: 12}), "grid")
+	byKey := map[string][]results.Value{}
+	for _, row := range grid.Rows {
+		byKey[label(t, grid, row, "distance")+label(t, grid, row, "size")] = row
 	}
+	cell := func(key, name string) float64 {
+		row, ok := byKey[key]
+		if !ok {
+			t.Fatalf("missing point %s", key)
+		}
+		return num(t, grid, row, name)
+	}
+	median := func(key string) float64 { return cell(key, "median") }
+	gbits := func(key string) float64 { return cell(key, "Gbps") }
 	// Latency ordering at 8 B with bounded spread (<=40% in the paper;
 	// our fabric numbers are slightly tighter, we allow up to 2x).
-	same := byKey["same switch8B"].Latency.Median
-	cross := byKey["different groups8B"].Latency.Median
+	same := median("same switch8B")
+	cross := median("different groups8B")
 	if !(same < cross) {
 		t.Errorf("8B latency ordering: same=%v cross=%v", same, cross)
 	}
@@ -52,7 +151,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Errorf("8B distance spread = %.2f, want < 2", cross/same)
 	}
 	// Large messages converge (<= ~15%).
-	s4, c4 := byKey["same switch4MiB"].Latency.Median, byKey["different groups4MiB"].Latency.Median
+	s4, c4 := median("same switch4MiB"), median("different groups4MiB")
 	if c4/s4 > 1.15 {
 		t.Errorf("4MiB distance spread = %.3f", c4/s4)
 	}
@@ -67,15 +166,15 @@ func TestFig4Shape(t *testing.T) {
 		{"same switch4MiB", 93, 99},
 	}
 	for _, c := range checks {
-		got := byKey[c.key].GBits
+		got := gbits(c.key)
 		if got < c.lo || got > c.hi {
 			t.Errorf("%s bandwidth = %.2f Gb/s, want [%v, %v]", c.key, got, c.lo, c.hi)
 		}
 	}
 	// Bandwidth spread across distances <= 15% (paper).
 	for _, size := range Fig4Sizes {
-		a := byKey["same switch"+sizeName(size)].GBits
-		b := byKey["different groups"+sizeName(size)].GBits
+		a := gbits("same switch" + sizeName(size))
+		b := gbits("different groups" + sizeName(size))
 		ratio := a / b
 		if ratio < 1 {
 			ratio = 1 / ratio
@@ -87,11 +186,11 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r := Fig5Stacks(Options{Nodes: 32, MaxIters: 3})
+	rtt := table(t, runExp(t, "fig5", Options{Nodes: 32, MaxIters: 3}), "rtt")
 	at := func(stack, size string) float64 {
-		for _, p := range r.Points {
-			if p.Stack.String() == stack && sizeName(p.Size) == size {
-				return p.RTT2.Microseconds()
+		for _, row := range rtt.Rows {
+			if label(t, rtt, row, "stack") == stack && label(t, rtt, row, "size") == size {
+				return num(t, rtt, row, "rtt2_us")
 			}
 		}
 		t.Fatalf("missing point %s/%s", stack, size)
@@ -119,33 +218,33 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r := Fig6Bisection(Options{Nodes: 64, Seed: 2})
-	get := func(series string, size int64) Fig6Point {
-		for _, p := range r.Points {
-			if p.Series == series && p.Size == size {
-				return p
+	points := table(t, runExp(t, "fig6", Options{Nodes: 64, Seed: 2}), "points")
+	get := func(series string, size int64, col string) float64 {
+		for _, row := range points.Rows {
+			if label(t, points, row, "series") == series && label(t, points, row, "size") == sizeName(size) {
+				return num(t, points, row, col)
 			}
 		}
 		t.Fatalf("missing %s/%d", series, size)
-		return Fig6Point{}
+		return 0
 	}
 	// Bisection approaches its theoretical peak for large messages.
-	if f := get("bisection", 128*1024).PeakFrc; f < 0.9 {
+	if f := get("bisection", 128*1024, "peak_frac"); f < 0.9 {
 		t.Errorf("bisection 128KiB = %.2f of peak, want >= 0.9", f)
 	}
 	// Monotone-ish rise for bisection.
-	if get("bisection", 8).TBits >= get("bisection", 8192).TBits {
+	if get("bisection", 8, "Tbps") >= get("bisection", 8192, "Tbps") {
 		t.Error("bisection bandwidth did not rise with size")
 	}
 	// The 256 B algorithm switch produces a throughput dip: 512 B per pair
 	// (pairwise) is well below 128 B (Bruck aggregation).
-	d128 := get("alltoall", 128).TBits
-	d512 := get("alltoall", 512).TBits
+	d128 := get("alltoall", 128, "Tbps")
+	d512 := get("alltoall", 512, "Tbps")
 	if d512 >= d128 {
 		t.Errorf("no algorithm-switch dip: 128B=%.3f 512B=%.3f", d128, d512)
 	}
 	// And it recovers at larger sizes.
-	if get("alltoall", 32*1024).TBits <= d512 {
+	if get("alltoall", 32*1024, "Tbps") <= d512 {
 		t.Error("alltoall did not recover after the dip")
 	}
 }
@@ -153,9 +252,9 @@ func TestFig6Shape(t *testing.T) {
 func TestFig9Shape(t *testing.T) {
 	// The paper's headline: Aries worst-case impact is one-to-two orders
 	// of magnitude; Slingshot stays below ~1.5.
-	opt := Options{Nodes: 48, MinIters: 3, MaxIters: 6, Seed: 11}
-	r := Fig9Heatmap(opt, VictimsQuick)
-	max := r.Max()
+	res := runExp(t, "fig9", Options{Nodes: 48, MinIters: 3, MaxIters: 6, Seed: 11, Victims: VictimsQuick})
+	heat := table(t, res, "heatmap")
+	max := maxImpactBy(t, heat, "system")
 	aries := max["Aries (Crystal)"]
 	sling := max["Slingshot (Shandy)"]
 	if aries < 3 {
@@ -169,50 +268,47 @@ func TestFig9Shape(t *testing.T) {
 	}
 	// Impact grows with aggressor fraction on Aries incast rows.
 	var inc10, inc90 float64
-	for _, row := range r.Rows {
-		if row.System != "Aries (Crystal)" || row.Aggressor != "incast" {
+	for _, row := range heat.Rows {
+		if label(t, heat, row, "system") != "Aries (Crystal)" || label(t, heat, row, "aggressor") != "incast" {
 			continue
 		}
 		m := 0.0
-		for _, c := range row.Cells {
-			if !c.NA && c.Impact > m {
-				m = c.Impact
+		for _, v := range row[heatmapKeys:] {
+			if x, ok := v.Float64(); ok && x > m {
+				m = x
 			}
 		}
-		if row.AggrFrac < 0.2 {
+		if f := num(t, heat, row, "aggr_frac"); f < 0.2 {
 			inc10 = m
-		}
-		if row.AggrFrac > 0.8 {
+		} else if f > 0.8 {
 			inc90 = m
 		}
 	}
 	if inc90 <= inc10 {
 		t.Errorf("impact should grow with aggressor share: 10%%=%.1f 90%%=%.1f", inc10, inc90)
 	}
-	if !strings.Contains(results.TextString(r.Result()), "incast") {
+	if !strings.Contains(results.TextString(res), "incast") {
 		t.Error("render missing aggressor labels")
 	}
 }
 
 func TestFig11NAandScale(t *testing.T) {
-	r := Fig11FullScale(Options{Nodes: 48, MinIters: 2, MaxIters: 4, Seed: 5})
+	res := runExp(t, "fig11", Options{Nodes: 48, MinIters: 2, MaxIters: 4, Seed: 5})
+	heat := table(t, res, "heatmap")
 	// MILC and HPCG must be N.A. where the victim node count is not a
 	// power of two (victim fractions 0.75/0.25 of 48 are 36/12).
 	sawNA := false
-	for _, row := range r.Rows {
-		for i, c := range row.Cells {
-			if (r.Columns[i] == "MILC" || r.Columns[i] == "HPCG") && c.NA {
+	for _, row := range heat.Rows {
+		for _, app := range []string{"MILC", "HPCG"} {
+			if row[col(t, heat, app)].Kind == results.KindNA {
 				sawNA = true
-				if !math.IsNaN(c.Impact) {
-					t.Error("NA cell carries a number")
-				}
 			}
 		}
 	}
 	if !sawNA {
 		t.Error("expected N.A. cells for MILC/HPCG at non-power-of-two counts")
 	}
-	if !strings.Contains(results.TextString(r.Result()), "N.A.") {
+	if !strings.Contains(results.TextString(res), "N.A.") {
 		t.Error("render missing N.A. markers")
 	}
 }
@@ -221,70 +317,72 @@ func TestFig12Shape(t *testing.T) {
 	// Reduced grid: two message sizes, two burst sizes, two gaps. The
 	// shape: 1 MiB aggressor messages are fully controlled (impact ~1);
 	// mid-size (128 KiB) builds some transient congestion.
-	r := Fig12Bursty(Options{Nodes: 24, MinIters: 4, MaxIters: 8, Seed: 13},
+	opt := Options{Nodes: 24, MinIters: 4, MaxIters: 8, Seed: 13}.withDefaults(Lookup("fig12").DefaultOptions)
+	bursty := table(t, fig12(opt,
 		[]int64{128 * 1024, 1 << 20},
 		[]int{100, 10000},
-		[]int64{1, 10000})
-	max := r.MaxImpact()
-	if max[1<<20] > 1.35 {
-		t.Errorf("1MiB bursty impact = %.2f, want ~1 (CC fully engages)", max[1<<20])
-	}
-	if max[128*1024] < 1.0 {
-		t.Errorf("128KiB impact = %.2f", max[128*1024])
-	}
-	// All Slingshot bursty impacts stay small in absolute terms (the
-	// paper's worst is 1.21).
-	for _, c := range r.Cells {
-		if c.Impact > 2.2 {
-			t.Errorf("bursty impact %v = %.2f, want << aries scale", c, c.Impact)
+		[]int64{1, 10000}), "bursty")
+	max := map[string]float64{}
+	for _, row := range bursty.Rows {
+		msg, impact := label(t, bursty, row, "aggr_msg"), num(t, bursty, row, "impact")
+		if impact > max[msg] {
+			max[msg] = impact
 		}
+		// All Slingshot bursty impacts stay small in absolute terms (the
+		// paper's worst is 1.21).
+		if impact > 2.2 {
+			t.Errorf("bursty impact %v = %.2f, want << aries scale", row, impact)
+		}
+	}
+	if max["1MiB"] > 1.35 {
+		t.Errorf("1MiB bursty impact = %.2f, want ~1 (CC fully engages)", max["1MiB"])
+	}
+	if max["128KiB"] < 1.0 {
+		t.Errorf("128KiB impact = %.2f", max["128KiB"])
 	}
 }
 
 func TestFig13Shape(t *testing.T) {
-	r, err := Fig13TrafficClasses(Options{Nodes: 24, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "fig13", Options{Nodes: 24, Seed: 3})
+	steady := table(t, res, "steady-state")
+	same := num(t, steady, steady.Rows[0], "impact")
+	separate := num(t, steady, steady.Rows[1], "impact")
 	// Paper: same TC ~2.85x, separate TC ~1.15x.
-	if r.SameImpact < 1.3 {
-		t.Errorf("same-TC impact = %.2f, want >= 1.3", r.SameImpact)
+	if same < 1.3 {
+		t.Errorf("same-TC impact = %.2f, want >= 1.3", same)
 	}
-	if r.SeparateImpact > 1.4 {
-		t.Errorf("separate-TC impact = %.2f, want <= 1.4", r.SeparateImpact)
+	if separate > 1.4 {
+		t.Errorf("separate-TC impact = %.2f, want <= 1.4", separate)
 	}
-	if r.SameImpact <= r.SeparateImpact {
+	if same <= separate {
 		t.Error("traffic classes provided no protection")
 	}
-	if len(r.SameTC) == 0 || len(r.SeparateTC) == 0 {
+	if len(series(t, res, "same-tc").Points) == 0 || len(series(t, res, "separate-tc").Points) == 0 {
 		t.Error("missing time series")
 	}
 }
 
 func TestFig14Shape(t *testing.T) {
-	r, err := Fig14Bandwidth(Options{Nodes: 24, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, sep := r.OverlapShares()
+	res := runExp(t, "fig14", Options{Nodes: 24, Seed: 3})
+	shares := table(t, res, "overlap-share")
+	same, sep := shares.Rows[0], shares.Rows[1]
 	// Separate TCs: the 80%/10%-min config splits ~80/20 (the spare 10%
 	// goes to the lowest-share class).
-	if sep[0] < 0.74 || sep[0] > 0.86 {
-		t.Errorf("separate-TC job1 share = %.2f, want ~0.80", sep[0])
+	if s := num(t, shares, sep, "job1_share"); s < 0.74 || s > 0.86 {
+		t.Errorf("separate-TC job1 share = %.2f, want ~0.80", s)
 	}
-	if sep[1] < 0.14 || sep[1] > 0.26 {
-		t.Errorf("separate-TC job2 share = %.2f, want ~0.20", sep[1])
+	if s := num(t, shares, sep, "job2_share"); s < 0.14 || s > 0.26 {
+		t.Errorf("separate-TC job2 share = %.2f, want ~0.20", s)
 	}
 	// Same TC: closer to even than the guaranteed split.
-	if same[0] >= sep[0] {
-		t.Errorf("same-TC split (%.2f) should be more even than separate (%.2f)",
-			same[0], sep[0])
+	if a, b := num(t, shares, same, "job1_share"), num(t, shares, sep, "job1_share"); a >= b {
+		t.Errorf("same-TC split (%.2f) should be more even than separate (%.2f)", a, b)
 	}
 	// Job 2 ramps to full bandwidth after job 1 ends.
-	for _, series := range [][]Fig14Series{r.SameTC, r.SeparateTC} {
-		j2 := series[1]
-		tail := j2.GbsNode[len(j2.GbsNode)-3]
-		mid := j2.GbsNode[15]
+	for _, name := range []string{"same-tc/job2", "separate-tc/job2"} {
+		j2 := series(t, res, name).Points
+		tail := j2[len(j2)-3].Y
+		mid := j2[15].Y
 		if tail <= mid {
 			t.Errorf("job2 did not ramp after job1 ended: mid=%.1f tail=%.1f", mid, tail)
 		}
@@ -292,11 +390,11 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r := Fig8Tailbench(Options{Nodes: 64, MaxIters: 25, Seed: 9})
+	tail := table(t, runExp(t, "fig8", Options{Nodes: 64, MaxIters: 25, Seed: 9}), "tail")
 	type key struct{ app, sys string }
 	imp := map[key]float64{}
-	for _, e := range r.Entries {
-		imp[key{e.App, e.System}] = e.Congested.Mean() / e.Isolated.Mean()
+	for _, row := range tail.Rows {
+		imp[key{label(t, tail, row, "app"), label(t, tail, row, "system")}] = num(t, tail, row, "impact")
 	}
 	for _, app := range []string{"silo", "xapian", "img-dnn"} {
 		a := imp[key{app, "Aries (Crystal)"}]
@@ -336,6 +434,9 @@ func TestCellNAForPowerOfTwoApps(t *testing.T) {
 	}, v)
 	if !r.NA {
 		t.Error("MILC at 12 nodes should be N.A.")
+	}
+	if !math.IsNaN(r.Impact) {
+		t.Error("NA cell carries a number")
 	}
 }
 

@@ -16,26 +16,22 @@ func TestPolicyCompareCCOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy grid takes ~1s")
 	}
-	r, err := PolicyCompare(Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7, PPN: 4})
-	if err != nil {
-		t.Fatal(err)
+	grid := table(t, runExp(t, "policy-compare", Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7, PPN: 4}), "policy grid")
+	if want := len(TopoNames) * len(RoutingNames) * len(PolicyCCNames); len(grid.Rows) != want {
+		t.Fatalf("grid has %d rows, want %d", len(grid.Rows), want)
 	}
-	if want := len(TopoNames) * len(RoutingNames) * len(PolicyCCNames); len(r.Rows) != want {
-		t.Fatalf("grid has %d rows, want %d", len(r.Rows), want)
+	if want := heatmapKeys + len(topoCompareVictims()); len(grid.Columns) != want {
+		t.Fatalf("grid has %d columns, want %d", len(grid.Columns), want)
 	}
-	for _, row := range r.Rows {
-		if len(row.Cells) != len(r.Columns) {
-			t.Fatalf("row %s/%s/%s has %d cells, want %d",
-				row.Topo, row.Routing, row.CC, len(row.Cells), len(r.Columns))
-		}
-		for _, c := range row.Cells {
-			if !c.NA && c.Impact < 1 {
+	for _, row := range grid.Rows {
+		for j, v := range row[heatmapKeys:] {
+			if c, ok := v.Float64(); ok && c < 1 {
 				t.Errorf("%s/%s/%s %s: impact %v below 1 (CongestionImpact clamps)",
-					row.Topo, row.Routing, row.CC, c.Victim, c.Impact)
+					row[0].Str, row[1].Str, row[2].Str, grid.Columns[heatmapKeys+j], c)
 			}
 		}
 	}
-	max := r.MaxByCC()
+	max := maxImpactBy(t, grid, "cc")
 	for _, cc := range PolicyCCNames {
 		if max[cc] == 0 {
 			t.Fatalf("no measurable cells for CC %q", cc)
@@ -65,34 +61,33 @@ func TestPolicyComparePPNDefault(t *testing.T) {
 // TestPolicyCompareRestrictsAxes: Options.Topo/Routing/CC each narrow
 // their axis to one backend, and unknown names fail loudly.
 func TestPolicyCompareRestrictsAxes(t *testing.T) {
-	r, err := PolicyCompare(Options{
-		Nodes: 16, MinIters: 1, MaxIters: 1, Seed: 7,
+	grid := table(t, runExp(t, "policy-compare", Options{
+		Nodes: 16, MinIters: 1, MaxIters: 1, Seed: 7, PPN: 1,
 		Topo: "fattree", Routing: "ecmp", CC: "delay",
-	})
-	if err != nil {
-		t.Fatal(err)
+	}), "policy grid")
+	if len(grid.Rows) != 1 {
+		t.Fatalf("restricted sweep has %d rows, want 1", len(grid.Rows))
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("restricted sweep has %d rows, want 1", len(r.Rows))
+	row := grid.Rows[0]
+	topo, rt, cc := label(t, grid, row, "topology"), label(t, grid, row, "routing"), label(t, grid, row, "cc")
+	if topo != "fattree" || rt != "ecmp" || cc != "delay" {
+		t.Errorf("restricted row = %s/%s/%s", topo, rt, cc)
 	}
-	row := r.Rows[0]
-	if row.Topo != "fattree" || row.Routing != "ecmp" || row.CC != "delay" {
-		t.Errorf("restricted row = %s/%s/%s", row.Topo, row.Routing, row.CC)
-	}
+	pc := Lookup("policy-compare")
 	// The Aries no-CC baseline stays reachable explicitly.
-	if _, err := PolicyCompare(Options{
-		Nodes: 16, MinIters: 1, MaxIters: 1, Seed: 7,
+	if _, err := pc.Run(Options{
+		Nodes: 16, MinIters: 1, MaxIters: 1, Seed: 7, PPN: 1,
 		Topo: "dragonfly", Routing: "minimal", CC: "none",
 	}); err != nil {
 		t.Errorf("CC=none: %v", err)
 	}
-	if _, err := PolicyCompare(Options{Nodes: 16, Routing: "teleport"}); err == nil {
+	if _, err := pc.Run(Options{Nodes: 16, PPN: 1, Routing: "teleport"}); err == nil {
 		t.Error("unknown routing policy did not error")
 	}
-	if _, err := PolicyCompare(Options{Nodes: 16, CC: "tcp-reno"}); err == nil {
+	if _, err := pc.Run(Options{Nodes: 16, PPN: 1, CC: "tcp-reno"}); err == nil {
 		t.Error("unknown CC backend did not error")
 	}
-	if _, err := PolicyCompare(Options{Nodes: 16, Topo: "torus"}); err == nil {
+	if _, err := pc.Run(Options{Nodes: 16, PPN: 1, Topo: "torus"}); err == nil {
 		t.Error("unknown topology did not error")
 	}
 }

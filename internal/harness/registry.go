@@ -11,8 +11,9 @@ import (
 
 // Experiment is one named, registered paper experiment. Run executes it
 // at the given scale and returns the uniform structured result; the
-// registry wrapper stamps metadata (name, description, wall time) so Run
-// implementations only fill the payload and the effective scale.
+// registry wrapper validates and defaults the options and stamps
+// metadata (name, description, scale, wall time), so Run
+// implementations only fill the payload.
 type Experiment struct {
 	// Name is the registry key, e.g. "fig6".
 	Name string
@@ -39,8 +40,10 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
 // programming errors. The registered Run is wrapped to reject negative
-// scale options, an unknown Options.Fidelity and a machine below MinNodes
-// with an error, and to stamp result metadata and wall time.
+// scale options, an unknown Options.Fidelity, Panel or Victims, and a
+// machine below MinNodes with an error, to apply the experiment's
+// defaults, and to stamp result metadata and wall time. The wrapper is
+// the only way to run an experiment.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -63,6 +66,14 @@ func Register(e Experiment) {
 		}
 		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		switch opt.Panel {
+		case "", "A", "B", "C":
+		default:
+			return nil, fmt.Errorf("%s: unknown panel %q (want A|B|C)", name, opt.Panel)
+		}
+		if opt.Victims < VictimsQuick || opt.Victims > VictimsFull {
+			return nil, fmt.Errorf("%s: unknown victim set %d", name, opt.Victims)
 		}
 		if prepare != nil {
 			opt = prepare(opt)

@@ -194,10 +194,11 @@ func TestRunRejectsUnknownFidelity(t *testing.T) {
 }
 
 // TestRunRejectsBadOptions drives registered experiments with inputs
-// they cannot run and expects an error rather than a panic or a hang:
-// negative scale counts, machines too small to split into the
-// experiment's jobs, and fluid fidelities on the traffic-class figures,
-// which measure switch queues only packets pass through.
+// they cannot run and expects an error rather than a panic, a hang or a
+// report of nothing: negative scale counts, machines too small to give
+// each of the experiment's jobs two nodes, an unknown panel or victim
+// set, and fluid fidelities on the traffic-class figures, which measure
+// switch queues only packets pass through.
 func TestRunRejectsBadOptions(t *testing.T) {
 	cases := []struct {
 		exp, name string
@@ -209,19 +210,31 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"fig2", "ppn=-2", Options{PPN: -2}},
 		{"topo-compare", "nodes=1", Options{Nodes: 1}},
 		{"topo-compare", "nodes=2", Options{Nodes: 2}},
+		{"topo-compare", "nodes=3", Options{Nodes: 3}},
 		{"fig8", "nodes=1", Options{Nodes: 1}},
 		{"fig8", "nodes=2", Options{Nodes: 2}},
+		{"fig8", "nodes=3", Options{Nodes: 3}},
 		{"fig9", "nodes=1", Options{Nodes: 1}},
 		{"fig9", "nodes=2", Options{Nodes: 2}},
+		{"fig9", "nodes=3", Options{Nodes: 3}},
 		{"fig10", "nodes=1", Options{Nodes: 1}},
 		{"fig10", "nodes=2", Options{Nodes: 2}},
+		{"fig10", "nodes=3", Options{Nodes: 3}},
 		{"fig11", "nodes=1", Options{Nodes: 1}},
 		{"fig11", "nodes=2", Options{Nodes: 2}},
+		{"fig11", "nodes=3", Options{Nodes: 3}},
 		{"policy-compare", "nodes=1", Options{Nodes: 1}},
 		{"policy-compare", "nodes=2", Options{Nodes: 2}},
+		{"policy-compare", "nodes=3", Options{Nodes: 3}},
 		{"fig12", "nodes=1", Options{Nodes: 1}},
+		{"fig12", "nodes=2", Options{Nodes: 2}},
+		{"fig12", "nodes=3", Options{Nodes: 3}},
 		{"fig13", "nodes=2", Options{Nodes: 2}},
 		{"fig13", "nodes=3", Options{Nodes: 3}},
+		{"fig14", "nodes=2", Options{Nodes: 2}},
+		{"fig14", "nodes=3", Options{Nodes: 3}},
+		{"fig10", "panel=D", Options{Nodes: 16, MinIters: 1, MaxIters: 1, Victims: VictimsApps, Panel: "D"}},
+		{"fig9", "victims=7", Options{Nodes: 16, MinIters: 1, MaxIters: 1, Victims: VictimSet(7)}},
 		{"fig13", "fidelity=flow", Options{Nodes: 16, Fidelity: "flow"}},
 		{"fig13", "fidelity=hybrid", Options{Nodes: 16, Fidelity: "hybrid"}},
 		{"fig14", "fidelity=flow", Options{Nodes: 16, Fidelity: "flow"}},
@@ -236,9 +249,53 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestRunAtMinNodes runs every registered experiment on the smallest
+// machine it accepts and checks that it still measures something: every
+// table column that is not all labels has a finite nonzero cell, and no
+// series is all zero. A node floor that leaves one of an experiment's
+// jobs a single node shows up here as an all-N.A. or all-zero column.
+func TestRunAtMinNodes(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			res, err := e.Run(Options{Nodes: max(e.MinNodes, 1), MinIters: 1, MaxIters: 1, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tab := range res.Tables {
+				for j, name := range tab.Columns {
+					labels, measured := true, false
+					for _, row := range tab.Rows {
+						if row[j].Kind != results.KindString {
+							labels = false
+						}
+						if v, ok := row[j].Float64(); ok && v != 0 {
+							measured = true
+						}
+					}
+					if !labels && !measured {
+						t.Errorf("table %q column %q has no finite nonzero cell", tab.Name, name)
+					}
+				}
+			}
+			for _, s := range res.Series {
+				measured := false
+				for _, p := range s.Points {
+					measured = measured || p.Y != 0
+				}
+				if !measured {
+					t.Errorf("series %q is all zero", s.Name)
+				}
+			}
+		})
+	}
+}
+
 func TestWithDefaultsClampsMinIters(t *testing.T) {
 	// -iters below an experiment's default MinIters must clamp the
 	// minimum rather than disabling the convergence break.
+	fig2Defaults := Lookup("fig2").DefaultOptions
 	o := Options{MaxIters: 5}.withDefaults(fig2Defaults)
 	if o.MinIters != 5 {
 		t.Errorf("MinIters = %d, want clamped to 5", o.MinIters)

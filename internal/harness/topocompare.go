@@ -10,20 +10,13 @@ import (
 	"repro/internal/workloads"
 )
 
-var topoCompareDefaults = Options{Nodes: 32, MinIters: 2, MaxIters: 4}
-
 func init() {
 	Register(Experiment{
 		Name:           "topo-compare",
 		Desc:           "same victim/aggressor mix across dragonfly, fat-tree and HyperX backends",
-		DefaultOptions: topoCompareDefaults,
-		Run: func(opt Options) (*results.Result, error) {
-			r, err := TopoCompare(opt)
-			if err != nil {
-				return nil, err
-			}
-			return r.Result(), nil
-		},
+		DefaultOptions: Options{Nodes: 32, MinIters: 2, MaxIters: 4},
+		MinNodes:       MinCellNodes,
+		Run:            topoCompare,
 	})
 }
 
@@ -61,22 +54,13 @@ func topoCompareVictims() []Victim {
 	}
 }
 
-// TopoCompareResult is the congestion-impact heatmap with one row block
-// per topology backend.
-type TopoCompareResult struct {
-	Grid Fig9Result
-}
-
-// TopoCompare runs the same victim/aggressor congestion grid (both
+// topoCompare runs the same victim/aggressor congestion grid (both
 // aggressors, the Fig. 9 splits, linear allocation) across the selected
-// backends via RunGrid. opt.Topo restricts the sweep to one backend; the
-// default sweeps all three with the same machine-size headroom as Fig. 9.
-func TopoCompare(opt Options) (TopoCompareResult, error) {
-	opt = opt.withDefaults(topoCompareDefaults)
-	if opt.Nodes < MinCellNodes {
-		return TopoCompareResult{}, fmt.Errorf("harness: topo-compare needs at least %d nodes, got %d",
-			MinCellNodes, opt.Nodes)
-	}
+// backends via RunGrid, and writes the Fig. 9 heatmap layout with the
+// topology backend in the first key column. opt.Topo restricts the sweep
+// to one backend; the default sweeps all three with the same
+// machine-size headroom as Fig. 9.
+func topoCompare(opt Options) (*results.Result, error) {
 	names := TopoNames[:]
 	if opt.Topo != "" {
 		names = []string{opt.Topo}
@@ -85,20 +69,10 @@ func TopoCompare(opt Options) (TopoCompareResult, error) {
 	for _, name := range names {
 		sys, err := topoSystem(name, opt.Nodes*2)
 		if err != nil {
-			return TopoCompareResult{}, err
+			return nil, err
 		}
 		systems = append(systems, sys)
 	}
-	grid := congestionGrid(opt, topoCompareVictims(), placement.Linear, systems, Fig9Splits[:])
-	return TopoCompareResult{Grid: grid}, nil
-}
-
-// Result converts the heatmap to the uniform structured form (the Fig. 9
-// table layout, with the topology backend in the system column).
-func (r TopoCompareResult) Result() *results.Result {
-	res := r.Grid.Result()
-	if len(res.Tables) > 0 {
-		res.Tables[0].Columns[0] = "topology"
-	}
-	return res
+	rows := congestionRows(systems, placement.Linear, Fig9Splits[:])
+	return heatmap(opt, "heatmap", []string{"topology", "aggressor", "aggr_frac"}, rows, topoCompareVictims()), nil
 }

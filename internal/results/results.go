@@ -238,6 +238,28 @@ func (r *Result) AddTable(name string, columns ...string) *Table {
 // AddSeries appends a series to the result.
 func (r *Result) AddSeries(s Series) { r.Series = append(r.Series, s) }
 
+// Table returns the first table with the given name, or nil when the
+// result has none.
+func (r *Result) Table(name string) *Table {
+	for _, t := range r.Tables {
+		if t.Name == name {
+			return t
+		}
+	}
+	return nil
+}
+
+// Col returns the index of the named column, or -1 when the table has
+// no such column.
+func (t *Table) Col(name string) int {
+	for i, c := range t.Columns {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Validate checks structural invariants: every table has columns and
 // every row matches its table's width.
 func (r *Result) Validate() error {

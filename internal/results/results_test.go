@@ -134,6 +134,23 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+func TestLookupByName(t *testing.T) {
+	r := goldenResult()
+	wins := r.Table("wins")
+	if wins == nil || wins.Name != "wins" {
+		t.Fatalf("Table(wins) = %+v", wins)
+	}
+	if r.Table("nope") != nil {
+		t.Error("Table(nope) should be nil")
+	}
+	if i := wins.Col("impact"); i != 1 {
+		t.Errorf("Col(impact) = %d, want 1", i)
+	}
+	if i := wins.Col("nope"); i != -1 {
+		t.Errorf("Col(nope) = %d, want -1", i)
+	}
+}
+
 func TestRowWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
