@@ -1,23 +1,21 @@
 // Command simlint runs the simulator's custom invariant analyzers (see
 // internal/lint): nondeterministic map iteration, wall-clock/global-RNG
-// use, hot-path allocations, interprocedural spine reachability,
-// shared-state confinement, RNG-stream discipline, free-list contract
-// violations, and the alloc-per-event scheduling shims.
+// use, hot-path allocations, interprocedural spine reachability and
+// hotpath-annotation drift, shared-state confinement, RNG-stream
+// discipline, free-list contract violations, and the alloc-per-event
+// scheduling shims. From the module root:
 //
-// It runs two ways:
+//	go run ./cmd/simlint ./...
 //
-//	go run ./cmd/simlint ./...            # standalone, from the module root
-//	go build -o simlint ./cmd/simlint
-//	go vet -vettool=$PWD/simlint ./...    # as a go vet tool (cached, parallel)
+// Packages are analyzed in dependency order through one fact session,
+// so the interprocedural analyzers see the whole cross-package call
+// graph; a run over ./... also checks annotation drift.
 //
-// Standalone, packages are analyzed in dependency order through one
-// fact session, so the interprocedural analyzers see the same
-// cross-package call graph as under go vet.
-//
-// Standalone flags: -only a,b limits the analyzers; -list prints them;
-// -list-spine prints every function transitively reachable from the
+// Flags: -only a,b limits the analyzers; -list prints them; -list-spine
+// prints every function transitively reachable from the
 // //simlint:hotpath roots (the audited spine); -json emits diagnostics
-// as a {package: {analyzer: [diagnostic]}} tree.
+// as a {package: {analyzer: [diagnostic]}} tree; -C sets the directory
+// go list runs from.
 // Exit status: 0 clean, 1 diagnostics found, 2 tool failure.
 package main
 
@@ -30,12 +28,6 @@ import (
 )
 
 func main() {
-	// The go command drives vet tools with a fixed protocol (-flags,
-	// -V=full, then one vet.cfg per package); humans pass patterns.
-	if lint.IsVetInvocation(os.Args[1:]) {
-		os.Exit(lint.VetTool(os.Args[1:], os.Stdout, os.Stderr))
-	}
-
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	listSpine := flag.Bool("list-spine", false, "print the hot-path spine (every function reachable from //simlint:hotpath roots) and exit")

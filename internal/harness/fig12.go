@@ -68,7 +68,7 @@ func fig12(opt Options, msgSizes []int64, bursts []int, gapsUS []int64) *results
 		iso := stats.NewSample(opt.MaxIters)
 		measureVictim(iso, vjob, victim, rng.Split(), opt.MinIters, opt.MaxIters)
 
-		ajob := mpi.NewJob(net, aNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 2})
+		ajob := mpi.NewJob(net, aNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 2, Bulk: true})
 		agg := workloads.StartBurstyIncast(ajob, c.msg, c.burst,
 			sim.Time(c.gap)*sim.Microsecond)
 		net.RunFor(200 * sim.Microsecond)

@@ -50,7 +50,7 @@ func fig8(opt Options) (*results.Result, error) {
 
 		iso := sampleApp(vjob, p.app, rng, opt.MaxIters)
 
-		ajob := mpi.NewJob(net, aggrNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 2})
+		ajob := mpi.NewJob(net, aggrNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 2, Bulk: true})
 		agg := workloads.StartIncast(ajob, workloads.AggressorMsgBytes, 2)
 		net.RunFor(300 * sim.Microsecond)
 		cong := sampleApp(vjob, p.app, rng, opt.MaxIters)

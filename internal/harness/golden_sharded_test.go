@@ -12,8 +12,9 @@ import (
 // topology and the merge orders are canonical, so a worker budget of 1 and
 // of 4 must produce byte-identical experiment JSON across the same
 // behavioural slice the classic goldens cover. (Sharded output is NOT
-// compared to the classic goldens: epoch-quantized injection and the
-// per-domain RNG streams are a deliberately different — but internally
+// compared to the classic goldens: epoch-quantized injection, callbacks
+// deferred to the epoch barrier and remote switch loads read from the
+// epoch-start snapshot make a deliberately different — but internally
 // deterministic — timeline.)
 func TestShardedGoldenDomains(t *testing.T) {
 	if testing.Short() {

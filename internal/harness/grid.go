@@ -3,7 +3,6 @@ package harness
 import (
 	"math"
 
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/placement"
 	"repro/internal/sim"
@@ -229,12 +228,12 @@ func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 	measureVictim(iso, vjob, v, rng.Split(), minIters, maxIters)
 	res.Isolated = iso.Mean()
 
-	// On hybrid/flow-fidelity systems the aggressor is exactly the bulk
-	// steady traffic the fluid fast path exists for; victims stay
-	// untagged so their transfers keep packet-level treatment.
+	// An aggressor job is always Bulk: it is exactly the steady traffic
+	// the hybrid fluid fast path exists for (Bulk is read only at hybrid
+	// fidelity). Victims stay untagged so their transfers keep
+	// packet-level treatment.
 	ajob := mpi.NewJob(net, aggrNodes, mpi.JobOpts{
-		PPN: spec.AggrPPN, Stack: mpi.MPI, Tag: 2,
-		Bulk: spec.Sys.Fidelity != fabric.FidelityPacket,
+		PPN: spec.AggrPPN, Stack: mpi.MPI, Tag: 2, Bulk: true,
 	})
 	var agg *workloads.Aggressor
 	if spec.Aggressor == IncastAggressor {

@@ -3,11 +3,9 @@ package lint
 // This file is the interprocedural substrate of the suite: a per-package
 // fact base (function call edges, alloc sites, hotpath annotations,
 // interface implementations, shared-state directives) and the Session
-// that accumulates facts across packages. The same facts flow through
-// both runners: standalone Load/Run feeds packages to a Session in
-// dependency order, and under `go vet -vettool` each unit imports its
-// dependencies' facts from their .vetx files and exports the merged set
-// through VetxOutput (see vet.go). Call-graph edges are of two kinds:
+// that accumulates facts across packages. Run feeds every package to one
+// Session in dependency order, so facts never leave the process.
+// Call-graph edges are of two kinds:
 //
 //   - static: the callee resolves through go/types to a concrete
 //     function or method;
@@ -21,7 +19,6 @@ package lint
 // per-event spine and cold setup/notification code.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -31,65 +28,46 @@ import (
 	"strings"
 )
 
-// SrcPos is a serializable source position for cross-package facts.
-type SrcPos struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
-
-func srcPos(fset *token.FileSet, pos token.Pos) SrcPos {
-	p := fset.Position(pos)
-	return SrcPos{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-// Position converts back to the token form diagnostics carry.
-func (p SrcPos) Position() token.Position {
-	return token.Position{Filename: p.File, Line: p.Line, Column: p.Col}
-}
-
 // AllocSite is one allocation-causing construct found in a function
 // body. Sites already excused by an //simlint:allocok directive in their
 // own package are filtered at collection time and never become facts.
 type AllocSite struct {
-	Pos  SrcPos `json:"pos"`
-	What string `json:"what"`
+	Pos  token.Position
+	What string
 }
 
 // FuncFact is the call-graph record of one declared function or method,
 // keyed by its *types.Func.FullName (e.g.
 // "(*repro/internal/sim.Engine).Step").
 type FuncFact struct {
-	Name string `json:"name"`
-	Pos  SrcPos `json:"pos"`
+	Name string
+	Pos  token.Position
 	// Hotpath marks //simlint:hotpath-annotated declarations — the spine
 	// roots and the functions the intra-procedural hotpath analyzer owns.
-	Hotpath bool        `json:"hotpath,omitempty"`
-	Allocs  []AllocSite `json:"allocs,omitempty"`
+	Hotpath bool
+	Allocs  []AllocSite
 	// Calls are statically resolved callees (full names); IfaceCalls are
 	// interface methods called through dynamic dispatch.
-	Calls      []string `json:"calls,omitempty"`
-	IfaceCalls []string `json:"iface_calls,omitempty"`
+	Calls      []string
+	IfaceCalls []string
 }
 
-// PkgFacts is everything one package exports to its dependents.
+// PkgFacts is everything one package contributes to its dependents.
 type PkgFacts struct {
-	Funcs map[string]*FuncFact `json:"funcs,omitempty"`
+	Funcs map[string]*FuncFact
 	// Impls maps an interface method (full name) to the in-module
 	// methods implementing it — the sound dispatch edges.
-	Impls map[string][]string `json:"impls,omitempty"`
+	Impls map[string][]string
 	// SharedVars are package-level variables annotated
 	// //simlint:shared, so dependents can excuse writes to them.
-	SharedVars []string `json:"shared_vars,omitempty"`
+	SharedVars []string
 }
 
 // Session accumulates facts package by package (dependency order) and
 // answers the interprocedural questions the spine analyzer asks. One
-// Session spans a whole standalone run; under vet each unit gets a fresh
-// Session seeded with its dependencies' imported facts.
+// Session spans a whole Run.
 type Session struct {
-	pkgs  map[string]*PkgFacts
-	order []string
+	pkgs map[string]*PkgFacts
 	// byFunc indexes every known FuncFact by full name, with its package.
 	byFunc map[string]factRef
 }
@@ -105,49 +83,15 @@ func NewSession() *Session {
 }
 
 func (s *Session) add(path string, pf *PkgFacts) {
-	if _, ok := s.pkgs[path]; ok {
-		return
-	}
 	s.pkgs[path] = pf
-	s.order = append(s.order, path)
 	for name, f := range pf.Funcs {
 		s.byFunc[name] = factRef{fact: f, pkg: path}
 	}
 }
 
-// ImportFacts merges a serialized fact set (a dependency's .vetx
-// payload) into the session. Empty payloads — what pre-fact simlint
-// versions wrote — carry no facts and are accepted.
-func (s *Session) ImportFacts(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var pkgs map[string]*PkgFacts
-	if err := json.Unmarshal(data, &pkgs); err != nil {
-		return fmt.Errorf("lint: decoding facts: %w", err)
-	}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs { //simlint:sortediter -- keys are sorted before use
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		s.add(p, pkgs[p])
-	}
-	return nil
-}
-
-// ExportFacts serializes the session's full fact base — the analyzed
-// package plus everything imported — so a unit's .vetx is cumulative
-// and dependents only need their direct dependencies' files.
-func (s *Session) ExportFacts() ([]byte, error) {
-	return json.Marshal(s.pkgs)
-}
-
 // RunPackage collects the package's facts into the session and then runs
 // the analyzers over it, returning the surviving diagnostics sorted by
-// position. Passing no analyzers collects facts only (vet's VetxOnly
-// dependency units).
+// position.
 func (s *Session) RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 	pkg *types.Package, info *types.Info) []Diagnostic {
 	// Test files are out of scope for every analyzer: the invariants
@@ -267,11 +211,11 @@ func (s *Session) SpineList() []string {
 
 // DriftDiags reports annotation drift: //simlint:hotpath functions no
 // longer reachable from the Engine.Step/Schedule roots. It is meaningful
-// only over a whole program, so the standalone runner calls it after the
-// full ./... package set is in (never under vet, whose per-unit view
-// would misread every not-yet-linked handler as drifted). When the
-// session contains no engine at all (a fixture or foreign module), there
-// is nothing to measure and it reports nothing.
+// only over a whole program (a partial package set would misread every
+// not-yet-linked handler as drifted), so Run calls it only after the
+// full ./... package set is in. When the session contains no engine at
+// all (a fixture or foreign module), there is nothing to measure and it
+// reports nothing.
 func (s *Session) DriftDiags() []Diagnostic {
 	hasEngine := false
 	for _, ref := range s.byFunc { //simlint:sortediter -- existence check only
@@ -290,7 +234,7 @@ func (s *Session) DriftDiags() []Diagnostic {
 			continue
 		}
 		diags = append(diags, Diagnostic{
-			Pos:      ref.fact.Pos.Position(),
+			Pos:      ref.fact.Pos,
 			Pkg:      ref.pkg,
 			Analyzer: "spine",
 			Message: fmt.Sprintf("%s is annotated //simlint:hotpath but is not reachable from Engine.Step/Schedule (annotation drift)",
@@ -342,7 +286,7 @@ func collectFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 			}
 			fact := &FuncFact{
 				Name:    obj.FullName(),
-				Pos:     srcPos(fset, fd.Pos()),
+				Pos:     fset.Position(fd.Pos()),
 				Hotpath: funcIsHotpath(dirs, fset, fd),
 			}
 			collectFuncBody(fset, fd, info, dirs, fact)
@@ -395,7 +339,7 @@ func collectFuncBody(fset *token.FileSet, fd *ast.FuncDecl, info *types.Info,
 		if inCold(pos) || dirs.suppresses("allocok", fset.Position(pos)) {
 			return
 		}
-		fact.Allocs = append(fact.Allocs, AllocSite{Pos: srcPos(fset, pos), What: what})
+		fact.Allocs = append(fact.Allocs, AllocSite{Pos: fset.Position(pos), What: what})
 	}
 
 	calls, iface := map[string]bool{}, map[string]bool{}

@@ -5,14 +5,14 @@
 // the CI alloc gate), and the nil-your-pointer Event/Packet free-list
 // contract. A careless `range` over a map, a `time.Now()`, a closure in a
 // hot handler, or a retained freed *sim.Event silently breaks goldens or
-// the alloc gate; these analyzers catch them at vet time instead of by
+// the alloc gate; these analyzers catch them at lint time instead of by
 // bisecting a golden diff.
 //
 // The suite is self-hosted on go/ast + go/types (no golang.org/x/tools
 // dependency): packages are loaded through `go list -export` compiled
-// export data, and cmd/simlint speaks the `go vet -vettool` unit-checker
-// protocol, so the same analyzers run standalone, under go vet, and in
-// the fixture tests.
+// export data. Run is the one driver — cmd/simlint, benchreport's
+// simlint stamps and the tree-wide test all go through it — and the
+// fixture tests apply single analyzers through RunAnalyzers.
 //
 // # Directives
 //
@@ -110,7 +110,7 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 
 // reportAt is Reportf for an already-resolved position — possibly in a
 // dependency's source file, where interprocedural findings land. The
-// directive check still runs against the current unit's files (foreign
+// directive check still runs against the current package's files (foreign
 // positions carry no suppressions here; theirs were applied when their
 // own package's facts were collected).
 func (p *Pass) reportAt(posn token.Position, hint, format string, args ...any) {
@@ -273,8 +273,7 @@ func ByName(names string) ([]*Analyzer, error) {
 // returns the surviving (undirectived) diagnostics sorted by position.
 // It runs in a fresh single-package Session, so interprocedural
 // analyzers see only this package's own call graph — the fixture-test
-// entry point; multi-package runs thread one Session through
-// Session.RunPackage instead (see Run and vet.go).
+// entry point; Run threads one Session through every package instead.
 func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 	pkg *types.Package, info *types.Info) []Diagnostic {
 	return NewSession().RunPackage(analyzers, fset, files, pkg, info)

@@ -38,9 +38,8 @@ type listPkg struct {
 
 // Load loads and type-checks the packages matching the go-list patterns
 // (run in dir), resolving imports through compiled export data from the
-// build cache. This is the standalone/test entry point; under
-// `go vet -vettool` the toolchain supplies the same information through
-// vet.cfg instead (see vet.go).
+// build cache. Every package shares one FileSet, so positions recorded
+// in one package's facts stay valid for the whole run.
 //
 // The loader shells out to `go list -export -deps`, so it needs the go
 // tool on PATH — acceptable for a development-time linter, and the only
@@ -96,12 +95,12 @@ type Report struct {
 	Spine []string
 }
 
-// Run loads the patterns and threads every package, in the dependency
-// order `go list -deps` guarantees, through one fact Session, so the
-// interprocedural analyzers see cross-package call edges exactly as
-// they do under `go vet -vettool`. A whole-module run (the single
-// pattern "./...") additionally checks hotpath-annotation drift, which
-// only a complete call graph can judge.
+// Run is the simlint driver: it loads the patterns and threads every
+// package, in the dependency order `go list -deps` guarantees, through
+// one fact Session, so the interprocedural analyzers see every
+// cross-package call edge. A whole-module run (the single pattern
+// "./...") additionally checks hotpath-annotation drift, which only a
+// complete call graph can judge.
 func Run(dir string, analyzers []*Analyzer, patterns ...string) (*Report, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
@@ -129,15 +128,35 @@ func hasAnalyzer(analyzers []*Analyzer, want *Analyzer) bool {
 	return false
 }
 
-// Check loads the patterns and runs the full analyzer suite, returning
-// every surviving diagnostic. It is the programmatic entry point
-// (benchreport uses it to stamp simlint_clean).
-func Check(dir string, patterns ...string) ([]Diagnostic, error) {
-	rep, err := Run(dir, All(), patterns...)
-	if err != nil {
-		return nil, err
+type jsonDiag struct {
+	Posn    string `json:"posn"`
+	Message string `json:"message"`
+}
+
+func jsonDiagOf(d Diagnostic) jsonDiag {
+	msg := d.Message
+	if d.Hint != "" {
+		msg += " (fix: " + d.Hint + ")"
 	}
-	return rep.Diags, nil
+	return jsonDiag{Posn: d.Pos.String(), Message: msg}
+}
+
+// WriteJSON emits diagnostics as a {pkg: {analyzer: [diagnostic]}} tree,
+// grouped by the producing package — the `simlint -json` output CI
+// uploads as an artifact (`{}` when clean).
+func WriteJSON(w io.Writer, diags []Diagnostic) error {
+	tree := map[string]map[string][]jsonDiag{}
+	for _, d := range diags {
+		pkg := tree[d.Pkg]
+		if pkg == nil {
+			pkg = map[string][]jsonDiag{}
+			tree[d.Pkg] = pkg
+		}
+		pkg[d.Analyzer] = append(pkg[d.Analyzer], jsonDiagOf(d))
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "\t")
+	return enc.Encode(tree)
 }
 
 // goList runs `go list -export -deps -json` and decodes the package
@@ -174,7 +193,7 @@ func goList(dir string, patterns ...string) ([]*listPkg, error) {
 // files resolved by lookup (import path -> file path). The fallback
 // default importer would try to find packages itself and fail for
 // module-local ones; the lookup closure pins every import to the exact
-// compiled artifact go list (or vet.cfg) named.
+// compiled artifact go list named.
 func exportImporter(fset *token.FileSet, lookup func(path string) string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file := lookup(path)

@@ -9,7 +9,7 @@ import (
 // Go randomizes map iteration order, so any map range whose body's effect
 // depends on visit order (scheduling, RNG draws, accumulating into
 // non-commutative state) breaks bit-exact replay — the class of bug the
-// eight seed-7 golden files exist to catch, found here at vet time
+// eight seed-7 golden files exist to catch, found here at lint time
 // instead.
 var MapIter = &Analyzer{
 	Name:      "mapiter",

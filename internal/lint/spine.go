@@ -12,15 +12,14 @@ package lint
 // intra-procedural check could not see it.
 //
 // Each finding is reported once, by the package whose call edges first
-// make the function reachable — under `go vet -vettool` that is the unit
-// holding the linking call site, with the facts of its dependencies
-// imported from their .vetx files. The diagnostic's position is the
-// alloc construct itself, which may be in a dependency's source file.
+// make the function reachable — the package holding the linking call
+// site. The diagnostic's position is the alloc construct itself, which
+// may be in a dependency's source file.
 //
 // The analyzer also reports annotation drift — //simlint:hotpath
 // functions unreachable from the Engine.Step/Schedule roots — but only
-// in whole-program standalone runs (Session.DriftDiags), where the
-// complete call graph is in view.
+// in whole-module runs (Session.DriftDiags), where the complete call
+// graph is in view.
 var Spine = &Analyzer{
 	Name:      "spine",
 	Doc:       "flags unannotated-but-hotpath-reachable functions that allocate (call-graph analysis)",
@@ -38,7 +37,7 @@ func runSpine(pass *Pass) {
 			continue
 		}
 		for _, a := range ref.fact.Allocs {
-			pass.reportAt(a.Pos.Position(),
+			pass.reportAt(a.Pos,
 				"annotate the function //simlint:hotpath and fix the allocation, or justify the construct with //simlint:allocok -- <why>",
 				"%s is reachable from the hot-path spine but not annotated //simlint:hotpath, and allocates (%s)",
 				name, a.What)

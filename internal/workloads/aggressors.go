@@ -2,10 +2,10 @@
 // evaluation (§III): the GPCNet-style congestion aggressors (incast for
 // endpoint congestion, all-to-all for intermediate congestion, both with
 // 128 KiB messages and optional bursts), the ember microbenchmark patterns
-// (halo3d, sweep3d, incast), proxies for the five HPC applications and the
-// four Tailbench datacenter applications of Table I, and the victim
-// measurement protocol (max-across-ranks per iteration, run until the 95%
-// CI of the median is within 5%).
+// (halo3d, sweep3d, incast), and proxies for the five HPC applications and
+// the four Tailbench datacenter applications of Table I. One iteration of a
+// victim completes when its last rank does (max across ranks); the harness
+// repeats iterations until the 95% CI of the median is within 5%.
 package workloads
 
 import (
@@ -169,13 +169,14 @@ func StartBurstyIncast(j *mpi.Job, msgBytes int64, burstSize int, gap sim.Time) 
 }
 
 // subJobOf views an arbitrary rank subset of j as its own communicator,
-// one rank per selected rank's node.
+// one rank per selected rank's node, keeping j's stack, class, tag and
+// Bulk marking.
 func subJobOf(j *mpi.Job, ranks []int) *mpi.Job {
 	nodes := make([]topology.NodeID, len(ranks))
 	for i, r := range ranks {
 		nodes[i] = j.Node(r)
 	}
 	return mpi.NewJob(j.Net, nodes, mpi.JobOpts{
-		PPN: 1, Stack: j.Stack, Class: j.Class, Tag: j.Tag,
+		PPN: 1, Stack: j.Stack, Class: j.Class, Tag: j.Tag, Bulk: j.Bulk,
 	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Microbench is one victim microbenchmark column of Fig. 9: a named
@@ -291,30 +290,4 @@ func RunSweep3D(j *mpi.Job, size int64, done func()) {
 		}
 	}
 	runPhase(0)
-}
-
-// MeasureIterations runs the benchmark repeatedly following the paper's
-// protocol (§III): at least minIters iterations, stopping once the 95% CI
-// of the median is within 5% (bounded by maxIters), returning per-iteration
-// times in microseconds. The engine runs as needed; concurrent aggressor
-// traffic keeps flowing between iterations.
-func MeasureIterations(j *mpi.Job, bench Microbench, minIters, maxIters int) *stats.Sample {
-	s := stats.NewSample(maxIters)
-	net := j.Net
-	for i := 0; i < maxIters; i++ {
-		start := net.Now()
-		fin := false
-		bench.Run(j, func() { fin = true })
-		net.RunWhile(func() bool { return !fin })
-		if !fin {
-			// Starved: no events left but the benchmark didn't finish —
-			// should never happen; record nothing further.
-			break
-		}
-		s.Add((net.Now() - start).Microseconds())
-		if i+1 >= minIters && s.Converged(0.05) {
-			break
-		}
-	}
-	return s
 }

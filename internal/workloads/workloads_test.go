@@ -68,18 +68,6 @@ func TestFig9MicrobenchList(t *testing.T) {
 	}
 }
 
-func TestMeasureIterationsConverges(t *testing.T) {
-	net, j := testJob(t, 4)
-	_ = net
-	s := MeasureIterations(j, BarrierBench(), 10, 200)
-	if s.Len() < 10 {
-		t.Fatalf("only %d iterations", s.Len())
-	}
-	if s.Median() <= 0 {
-		t.Error("non-positive median")
-	}
-}
-
 func TestIncastAggressorGeneratesTraffic(t *testing.T) {
 	net, j := testJob(t, 16)
 	a := StartIncast(j, AggressorMsgBytes, 2)
@@ -108,6 +96,22 @@ func TestAlltoallAggressor(t *testing.T) {
 		t.Fatal("alltoall aggressor moved no bytes")
 	}
 	a.Stop()
+}
+
+// TestBulkAlltoallRunsFluidAtHybrid: the all-to-all aggressor sends
+// through per-group sub-communicators, which must inherit the job's Bulk
+// tag so that at hybrid fidelity its 128 KiB transfers take the fluid
+// path, as the incast aggressor's do.
+func TestBulkAlltoallRunsFluidAtHybrid(t *testing.T) {
+	net, j := testJob(t, 16)
+	net.SetFidelity(fabric.FidelityHybrid)
+	j.Bulk = true
+	a := StartAlltoall(j, AggressorMsgBytes)
+	net.RunFor(300 * sim.Microsecond)
+	a.Stop()
+	if net.FlowsStarted() == 0 {
+		t.Fatal("Bulk all-to-all aggressor started no fluid flows at hybrid fidelity")
+	}
 }
 
 func TestBurstyAggressorRespectsGap(t *testing.T) {
