@@ -200,9 +200,9 @@ func BenchmarkAblationCongestionControl(b *testing.B) {
 		name string
 		cc   congestion.Builder
 	}{
-		{"slingshot", congestion.BuilderFor(congestion.DefaultParams(congestion.Slingshot))},
-		{"ecn", congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))},
-		{"none", congestion.BuilderFor(congestion.DefaultParams(congestion.None))},
+		{"slingshot", congestion.BuilderFor(congestion.Slingshot)},
+		{"ecn", congestion.BuilderFor(congestion.ECNLike)},
+		{"none", congestion.BuilderFor(congestion.None)},
 	}
 	base := harness.Crystal(72)
 	for _, k := range kinds {
@@ -234,7 +234,7 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 				prof := fabric.SlingshotProfile()
 				prof.SwitchJitter = false
 				if !adaptive {
-					prof.Routing = routing.NewMinimalOnly
+					prof.Routing = routing.MinimalOnly{}
 				}
 				topo := topology.MustNew(topology.Config{
 					Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 1,

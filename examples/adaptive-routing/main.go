@@ -33,7 +33,7 @@ func run(adaptive bool) (sim.Time, float64) {
 	prof := fabric.SlingshotProfile()
 	prof.SwitchJitter = false
 	if !adaptive {
-		prof.Routing = routing.NewMinimalOnly
+		prof.Routing = routing.MinimalOnly{}
 	}
 	net := fabric.New(topo, prof, 3)
 

@@ -124,11 +124,11 @@ func ChoosePath(policy string) func(b *testing.B) {
 		})
 		prof := fabric.SlingshotProfile()
 		prof.SwitchJitter = false
-		builder, err := routing.ByName(policy)
+		pol, err := routing.ByName(policy)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof.Routing = builder
+		prof.Routing = pol
 		net := fabric.New(topo, prof, 5)
 		src, dst := topology.NodeID(0), topology.NodeID(topo.Nodes()-1)
 		if len(net.ChoosePath(src, dst, 0, 0)) == 0 { // warm the cache
@@ -319,7 +319,7 @@ func SolverIncremental(forceFull bool) func(b *testing.B) {
 			Groups: 64, SwitchesPerGroup: 8, NodesPerSwitch: 4, GlobalPerPair: 1,
 		})
 		eng := flow.NewEngine(topo, flow.Caps{
-			EdgeBits: 200e9, LocalBits: 200e9, GlobalBits: 200e9,
+			EdgeBits: 200e9, FabricBits: 200e9,
 		})
 		eng.Hooks = nopFlowHooks{}
 		eng.SetForceFull(forceFull)

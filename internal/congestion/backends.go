@@ -33,17 +33,13 @@ type pairState struct {
 // peers, rows allocate on first contact, and the steady-state lookup is a
 // bounds check plus a load — no map on the CC spine.
 type base struct {
-	p     Params
-	pairs []*pairState
-	stats Stats
+	initWindow int64
+	pairs      []*pairState
+	stats      Stats
 }
 
-func newBase(p Params) base {
-	return base{p: p}
-}
-
-// Params returns the controller's tuning.
-func (c *base) Params() Params { return c.p }
+// InitialWindow returns the window every destination pair starts with.
+func (c *base) InitialWindow() int64 { return c.initWindow }
 
 // Stats exposes the reaction counters.
 func (c *base) Stats() *Stats { return &c.stats }
@@ -57,7 +53,7 @@ func (c *base) pair(dst topology.NodeID) *pairState {
 	}
 	ps := c.pairs[dst]
 	if ps == nil {
-		ps = &pairState{window: c.p.InitialWindow, lastSignal: -sim.Forever / 2, lastCut: -sim.Forever / 2} //simlint:allocok -- one-time per-destination state
+		ps = &pairState{window: c.initWindow, lastSignal: -sim.Forever / 2, lastCut: -sim.Forever / 2} //simlint:allocok -- one-time per-destination state
 		c.pairs[dst] = ps
 	}
 	return ps
@@ -161,10 +157,10 @@ func (c *slingshot) Hooks() Hooks { return Hooks{EndpointSignals: true} }
 func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.Time) bool {
 	ps := c.ackSettle(dst, bytes)
 	// Quiet period passed: fast additive recovery plus pacing decay.
-	if now-ps.lastSignal > c.p.RecoveryQuiet {
+	if now-ps.lastSignal > recoveryQuiet {
 		ps.window += bytes
-		if ps.window > c.p.InitialWindow {
-			ps.window = c.p.InitialWindow
+		if ps.window > InitialWindow {
+			ps.window = InitialWindow
 		}
 		ps.paceGap /= 2
 		if ps.paceGap < 100*sim.Nanosecond {
@@ -182,7 +178,7 @@ func (c *slingshot) OnSignal(dst topology.NodeID, severity float64, now sim.Time
 	ps.signals++
 	c.stats.TotalSignals++
 	// Stiff and fast: collapse the window...
-	ps.window = c.p.MinWindow
+	ps.window = minWindow
 	// ...and escalate pacing multiplicatively while signals keep coming.
 	// Escalation is rate-limited (a burst of notifications from one queue
 	// sweep counts once).
@@ -198,8 +194,8 @@ func (c *slingshot) OnSignal(dst topology.NodeID, severity float64, now sim.Time
 		ps.paceGap *= 2
 		ps.lastEscalate = now
 	}
-	if ps.paceGap > c.p.MaxPaceGap {
-		ps.paceGap = c.p.MaxPaceGap
+	if ps.paceGap > maxPaceGap {
+		ps.paceGap = maxPaceGap
 	}
 	if ps.nextSend < now+ps.paceGap {
 		ps.nextSend = now + ps.paceGap
@@ -226,21 +222,21 @@ func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now si
 		// At most one multiplicative cut per ~RTT-scale interval; the
 		// long reaction path is what makes classical ECN fragile under
 		// bursty incast.
-		if now-ps.lastCut > c.p.RecoveryQuiet {
+		if now-ps.lastCut > recoveryQuiet {
 			ps.lastCut = now
 			ps.signals++
 			c.stats.TotalSignals++
-			ps.window = int64(float64(ps.window) * c.p.EcnCutFactor)
-			if ps.window < c.p.MinWindow {
-				ps.window = c.p.MinWindow
+			ps.window = int64(float64(ps.window) * ecnCutFactor)
+			if ps.window < minWindow {
+				ps.window = minWindow
 			}
 		}
 		ps.lastSignal = now
-	} else if now-ps.lastSignal > 4*c.p.RecoveryQuiet {
+	} else if now-ps.lastSignal > 4*recoveryQuiet {
 		// Slow additive recovery, a fraction of the acked bytes.
 		ps.window += bytes / 8
-		if ps.window > c.p.InitialWindow {
-			ps.window = c.p.InitialWindow
+		if ps.window > InitialWindow {
+			ps.window = InitialWindow
 		}
 	}
 	return true
@@ -255,9 +251,9 @@ func (c *ecnLike) OnSignal(topology.NodeID, float64, sim.Time) {}
 // at or below target grows it additively. It needs no switch support at
 // all — not even ECN marking.
 //
-// The target is per destination: Params.TargetRTT is the floor, raised
-// to the fabric-calibrated quiet RTT of the pair's path when a base-RTT
-// oracle is installed (see TargetCalibrator) — Swift's topology-aware
+// The target is per destination: TargetRTT is the floor, raised to the
+// fabric-calibrated quiet RTT of the pair's path when a base-RTT oracle
+// is installed (see TargetCalibrator) — Swift's topology-aware
 // base-delay term.
 type delayBased struct {
 	base
@@ -270,12 +266,12 @@ func (c *delayBased) CalibrateTarget(base func(topology.NodeID) sim.Time) {
 	c.baseRTT = base
 }
 
-// targetFor returns the pair's setpoint, computing it on first use: the
-// configured TargetRTT, raised to the oracle's quiet full-window RTT on
-// paths where the topology alone exceeds the configured floor.
+// targetFor returns the pair's setpoint, computing it on first use:
+// TargetRTT, raised to the oracle's quiet full-window RTT on paths where
+// the topology alone exceeds that floor.
 func (c *delayBased) targetFor(ps *pairState, dst topology.NodeID) sim.Time {
 	if ps.target == 0 {
-		ps.target = c.p.TargetRTT
+		ps.target = TargetRTT
 		if c.baseRTT != nil {
 			if t := c.baseRTT(dst); t > ps.target {
 				ps.target = t
@@ -304,26 +300,26 @@ func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now si
 		// Multiplicative decrease proportional to the overshoot, at most
 		// once per ~RTT-scale interval (a whole window's acks report the
 		// same standing queue).
-		if now-ps.lastCut > c.p.RecoveryQuiet {
+		if now-ps.lastCut > recoveryQuiet {
 			ps.lastCut = now
 			ps.signals++
 			c.stats.TotalSignals++
-			cut := 1 - c.p.DelayBeta*float64(rtt-target)/float64(rtt)
-			if cut < c.p.DelayMaxCut {
-				cut = c.p.DelayMaxCut
+			cut := 1 - delayBeta*float64(rtt-target)/float64(rtt)
+			if cut < delayMaxCut {
+				cut = delayMaxCut
 			}
 			ps.window = int64(float64(ps.window) * cut)
-			if ps.window < c.p.MinWindow {
-				ps.window = c.p.MinWindow
+			if ps.window < minWindow {
+				ps.window = minWindow
 			}
 		}
 		ps.lastSignal = now
-	} else if now-ps.lastSignal > c.p.RecoveryQuiet {
+	} else if now-ps.lastSignal > recoveryQuiet {
 		// On-target RTT: additive recovery, a fraction of the acked
 		// bytes per ack.
 		ps.window += bytes / 4
-		if ps.window > c.p.InitialWindow {
-			ps.window = c.p.InitialWindow
+		if ps.window > InitialWindow {
+			ps.window = InitialWindow
 		}
 	}
 	return true

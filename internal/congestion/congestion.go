@@ -70,56 +70,41 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Params tunes a controller. Zero fields take defaults from DefaultParams.
-type Params struct {
-	Kind Kind
-	// InitialWindow is the per-destination-pair outstanding-byte budget on
-	// an uncongested path; it should cover the bandwidth-delay product.
-	InitialWindow int64
-	// MinWindow is the floor the window collapses to under back-pressure.
-	MinWindow int64
-	// MaxPaceGap bounds the injection pacing delay per pair.
-	MaxPaceGap sim.Time
-	// RecoveryQuiet is how long a pair must go without congestion signals
-	// before its window starts recovering.
-	RecoveryQuiet sim.Time
-	// EcnCutFactor is the multiplicative decrease applied per marked
-	// round-trip in ECN mode.
-	EcnCutFactor float64
+// Calibrated tuning every controller of a kind runs with. InitialWindow
+// and TargetRTT are exported for the fabric's calibration tests.
+const (
+	// InitialWindow is the per-destination-pair outstanding-byte budget
+	// on an uncongested path; ~64 KiB covers the 100 Gb/s x ~3 us edge
+	// BDP several times over.
+	InitialWindow int64 = 64 * 1024
 	// TargetRTT is the delay-based controller's setpoint: ack RTTs above
-	// it read as queueing and cut the window.
-	TargetRTT sim.Time
-	// DelayBeta scales the delay-based multiplicative decrease: the cut
-	// factor is 1 - DelayBeta * (rtt-target)/rtt, floored at DelayMaxCut.
-	DelayBeta float64
-	// DelayMaxCut floors the per-RTT cut factor of the delay-based
-	// controller (0.3 means the window loses at most 70% per cut).
-	DelayMaxCut float64
-}
+	// it read as queueing and cut the window. A quiet small-message
+	// round trip is ~3 us; 8 us of RTT reads as several packets of
+	// standing queue at 100 Gb/s.
+	TargetRTT = 8 * sim.Microsecond
 
-// DefaultParams returns the calibrated parameters for a kind.
-func DefaultParams(kind Kind) Params {
-	p := Params{
-		Kind: kind,
-		// ~64 KiB covers the 100 Gb/s x ~3 us edge BDP several times over.
-		InitialWindow: 64 * 1024,
-		MinWindow:     4 * 1024, // one packet
-		MaxPaceGap:    500 * sim.Microsecond,
-		RecoveryQuiet: 10 * sim.Microsecond,
-		EcnCutFactor:  0.5,
-		// A quiet small-message round trip is ~3 us; 8 us of RTT reads as
-		// several packets of standing queue at 100 Gb/s.
-		TargetRTT:   8 * sim.Microsecond,
-		DelayBeta:   0.8,
-		DelayMaxCut: 0.3,
-	}
-	if kind == None {
-		// Effectively unlimited: an Aries NIC keeps injecting as long as
-		// link-level credits let it.
-		p.InitialWindow = 1 << 40
-	}
-	return p
-}
+	// unlimitedWindow is None's window, effectively unlimited: an Aries
+	// NIC keeps injecting as long as link-level credits let it.
+	unlimitedWindow int64 = 1 << 40
+	// minWindow is the floor the window collapses to under back-pressure
+	// (one packet).
+	minWindow int64 = 4 * 1024
+	// maxPaceGap bounds the injection pacing delay per pair.
+	maxPaceGap = 500 * sim.Microsecond
+	// recoveryQuiet is how long a pair must go without congestion
+	// signals before its window starts recovering.
+	recoveryQuiet = 10 * sim.Microsecond
+	// ecnCutFactor is the multiplicative decrease applied per marked
+	// round-trip in ECN mode.
+	ecnCutFactor = 0.5
+	// delayBeta scales the delay-based multiplicative decrease: the cut
+	// factor is 1 - delayBeta * (rtt-target)/rtt, floored at
+	// delayMaxCut.
+	delayBeta = 0.8
+	// delayMaxCut floors the per-RTT cut factor of the delay-based
+	// controller (0.3 means the window loses at most 70% per cut).
+	delayMaxCut = 0.3
+)
 
 // Hooks declares the fabric-side detection an algorithm needs: the switch
 // machinery consults them instead of hard-coding per-kind behaviour.
@@ -129,7 +114,7 @@ type Hooks struct {
 	// back-pressure notifications (Slingshot, §II-D).
 	EndpointSignals bool
 	// ECNMarks: switches mark packets crossing egress queues deeper than
-	// the profile's EcnThreshold; receivers echo the mark on the ack.
+	// the fabric's ECN threshold; receivers echo the mark on the ack.
 	ECNMarks bool
 }
 
@@ -146,8 +131,9 @@ type Stats struct {
 type Controller interface {
 	// Algorithm names the backend ("none", "slingshot", "ecn", "delay").
 	Algorithm() string
-	// Params returns the tuning the controller runs with.
-	Params() Params
+	// InitialWindow returns the window every destination pair starts
+	// with (InitialWindow, or an effectively unlimited one for None).
+	InitialWindow() int64
 	// Hooks reports the fabric-side detection this algorithm needs.
 	Hooks() Hooks
 	// CanSend reports whether a packet of the given size may be injected
@@ -189,7 +175,7 @@ type Builder func() Controller
 // CalibrateTarget once per NIC at build time with a quiet-RTT oracle:
 // base(dst) estimates the uncongested full-window ack round-trip from
 // that NIC to dst. The delay-based backend uses it to raise its
-// per-destination TargetRTT above the configured floor where the quiet
+// per-destination target above the TargetRTT floor where the quiet
 // path alone exceeds it — on a 1024-node fat-tree the cross-spine RTT
 // passes 8 µs before any queue forms, and an uncalibrated controller
 // reads the topology itself as congestion and over-throttles.
@@ -197,14 +183,10 @@ type TargetCalibrator interface {
 	CalibrateTarget(base func(dst topology.NodeID) sim.Time)
 }
 
-// NewController returns a controller of p.Kind with the given parameters
-// (zero params take the kind's defaults).
-func NewController(p Params) Controller {
-	if p.InitialWindow == 0 {
-		p = DefaultParams(p.Kind)
-	}
-	b := newBase(p)
-	switch p.Kind {
+// NewController returns a controller of the given kind.
+func NewController(kind Kind) Controller {
+	b := base{initWindow: InitialWindow}
+	switch kind {
 	case Slingshot:
 		return &slingshot{base: b}
 	case ECNLike:
@@ -212,14 +194,13 @@ func NewController(p Params) Controller {
 	case Delay:
 		return &delayBased{base: b}
 	default:
-		return &noCC{base: b}
+		return &noCC{base: base{initWindow: unlimitedWindow}}
 	}
 }
 
-// BuilderFor returns a Builder producing controllers with the given
-// parameters.
-func BuilderFor(p Params) Builder {
-	return func() Controller { return NewController(p) }
+// BuilderFor returns a Builder producing controllers of the given kind.
+func BuilderFor(kind Kind) Builder {
+	return func() Controller { return NewController(kind) }
 }
 
 // kinds is the single list of selectable algorithms ByName and Names
@@ -227,12 +208,11 @@ func BuilderFor(p Params) Builder {
 // NewController's dispatch).
 var kinds = [...]Kind{None, Slingshot, ECNLike, Delay}
 
-// ByName returns a Builder for an algorithm name with its default
-// parameters.
+// ByName returns a Builder for an algorithm name.
 func ByName(name string) (Builder, error) {
 	for _, k := range kinds {
 		if k.String() == name {
-			return BuilderFor(DefaultParams(k)), nil
+			return BuilderFor(k), nil
 		}
 	}
 	return nil, fmt.Errorf("congestion: unknown algorithm %q (have %v)", name, Names())

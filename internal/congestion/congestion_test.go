@@ -28,7 +28,7 @@ func TestAlgorithmAndHooks(t *testing.T) {
 		{Delay, Hooks{}},
 	}
 	for _, c := range cases {
-		ctrl := NewController(DefaultParams(c.kind))
+		ctrl := NewController(c.kind)
 		if ctrl.Algorithm() != c.kind.String() {
 			t.Errorf("%v: Algorithm() = %q", c.kind, ctrl.Algorithm())
 		}
@@ -54,7 +54,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestNoneUnlimited(t *testing.T) {
-	c := NewController(DefaultParams(None))
+	c := NewController(None)
 	now := sim.Time(0)
 	// Send far more than any reasonable window; None never blocks.
 	for i := 0; i < 1000; i++ {
@@ -72,8 +72,7 @@ func TestNoneUnlimited(t *testing.T) {
 }
 
 func TestWindowLimits(t *testing.T) {
-	p := DefaultParams(Slingshot)
-	c := NewController(p)
+	c := NewController(Slingshot)
 	now := sim.Time(0)
 	sentBytes := int64(0)
 	for {
@@ -83,13 +82,13 @@ func TestWindowLimits(t *testing.T) {
 		}
 		c.OnSend(dst, 4096, now)
 		sentBytes += 4096
-		if sentBytes > 10*p.InitialWindow {
+		if sentBytes > 10*InitialWindow {
 			t.Fatal("window never closed")
 		}
 	}
 	// Outstanding is within one packet of the initial window.
-	if got := c.Outstanding(dst); got < p.InitialWindow-4096 || got > p.InitialWindow+4096 {
-		t.Errorf("outstanding = %d, window %d", got, p.InitialWindow)
+	if got := c.Outstanding(dst); got < InitialWindow-4096 || got > InitialWindow+4096 {
+		t.Errorf("outstanding = %d, window %d", got, InitialWindow)
 	}
 	// Acks free space.
 	c.OnAck(dst, 4096, false, 0, now)
@@ -99,9 +98,9 @@ func TestWindowLimits(t *testing.T) {
 }
 
 func TestAlwaysOnePacketInFlight(t *testing.T) {
-	c := NewController(DefaultParams(Slingshot))
+	c := NewController(Slingshot)
 	now := sim.Time(0)
-	c.OnSignal(dst, 1, now) // collapse window to MinWindow = 4096
+	c.OnSignal(dst, 1, now) // collapse window to minWindow = 4096
 	now += c.PaceGap(dst)
 	// A packet bigger than the collapsed window must still be sendable
 	// when nothing is outstanding.
@@ -112,15 +111,14 @@ func TestAlwaysOnePacketInFlight(t *testing.T) {
 }
 
 func TestSlingshotSignalCollapsesWindow(t *testing.T) {
-	p := DefaultParams(Slingshot)
-	c := NewController(p)
+	c := NewController(Slingshot)
 	now := sim.Time(0)
-	if c.Window(dst) != p.InitialWindow {
+	if c.Window(dst) != InitialWindow {
 		t.Fatalf("initial window = %d", c.Window(dst))
 	}
 	c.OnSignal(dst, 1, now)
-	if c.Window(dst) != p.MinWindow {
-		t.Errorf("window after signal = %d, want %d", c.Window(dst), p.MinWindow)
+	if c.Window(dst) != minWindow {
+		t.Errorf("window after signal = %d, want %d", c.Window(dst), minWindow)
 	}
 	if c.PaceGap(dst) == 0 {
 		t.Error("no pacing after signal")
@@ -132,7 +130,7 @@ func TestSlingshotSignalCollapsesWindow(t *testing.T) {
 }
 
 func TestSlingshotPacingEscalates(t *testing.T) {
-	c := NewController(DefaultParams(Slingshot))
+	c := NewController(Slingshot)
 	now := sim.Time(0)
 	c.OnSignal(dst, 1, now)
 	g1 := c.PaceGap(dst)
@@ -150,27 +148,26 @@ func TestSlingshotPacingEscalates(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.OnSignal(dst, 1, now+sim.Time(3*i)*sim.Microsecond)
 	}
-	if c.PaceGap(dst) > DefaultParams(Slingshot).MaxPaceGap {
+	if c.PaceGap(dst) > maxPaceGap {
 		t.Errorf("pace gap exceeded cap: %v", c.PaceGap(dst))
 	}
 }
 
 func TestSlingshotRecovery(t *testing.T) {
-	p := DefaultParams(Slingshot)
-	c := NewController(p)
+	c := NewController(Slingshot)
 	now := sim.Time(0)
 	c.OnSignal(dst, 1, now)
 	// Acks inside the quiet period do not recover.
 	c.OnAck(dst, 4096, false, 0, now+sim.Microsecond)
-	if c.Window(dst) != p.MinWindow {
+	if c.Window(dst) != minWindow {
 		t.Error("recovered during quiet period")
 	}
 	// After the quiet period, acks recover the window and relax pacing.
-	later := now + p.RecoveryQuiet + sim.Microsecond
+	later := now + recoveryQuiet + sim.Microsecond
 	for i := 0; i < 100; i++ {
 		c.OnAck(dst, 4096, false, 0, later+sim.Time(i)*sim.Microsecond)
 	}
-	if c.Window(dst) != p.InitialWindow {
+	if c.Window(dst) != InitialWindow {
 		t.Errorf("window did not recover: %d", c.Window(dst))
 	}
 	if c.PaceGap(dst) != 0 {
@@ -181,7 +178,7 @@ func TestSlingshotRecovery(t *testing.T) {
 func TestSlingshotPerPairIsolation(t *testing.T) {
 	// The defining Slingshot property (§II-D): throttling one destination
 	// pair leaves other pairs at full speed.
-	c := NewController(DefaultParams(Slingshot))
+	c := NewController(Slingshot)
 	other := topology.NodeID(9)
 	now := sim.Time(0)
 	c.OnSignal(dst, 1, now)
@@ -194,45 +191,43 @@ func TestSlingshotPerPairIsolation(t *testing.T) {
 }
 
 func TestECNCutOnMarkedAck(t *testing.T) {
-	p := DefaultParams(ECNLike)
-	c := NewController(p)
+	c := NewController(ECNLike)
 	now := sim.Time(0)
 	w0 := c.Window(dst)
 	c.OnAck(dst, 4096, true, 0, now)
 	w1 := c.Window(dst)
-	if w1 != int64(float64(w0)*p.EcnCutFactor) {
-		t.Errorf("window after mark = %d, want %d", w1, int64(float64(w0)*p.EcnCutFactor))
+	if w1 != int64(float64(w0)*ecnCutFactor) {
+		t.Errorf("window after mark = %d, want %d", w1, int64(float64(w0)*ecnCutFactor))
 	}
 	// A second mark immediately after does not double-cut (once per RTT).
 	c.OnAck(dst, 4096, true, 0, now+sim.Microsecond)
 	if c.Window(dst) != w1 {
 		t.Errorf("double cut within RTT: %d", c.Window(dst))
 	}
-	// Cuts bottom out at MinWindow.
+	// Cuts bottom out at minWindow.
 	for i := 0; i < 20; i++ {
-		c.OnAck(dst, 4096, true, 0, now+sim.Time(i+1)*p.RecoveryQuiet*2)
+		c.OnAck(dst, 4096, true, 0, now+sim.Time(i+1)*recoveryQuiet*2)
 	}
-	if c.Window(dst) != p.MinWindow {
-		t.Errorf("window floor = %d, want %d", c.Window(dst), p.MinWindow)
+	if c.Window(dst) != minWindow {
+		t.Errorf("window floor = %d, want %d", c.Window(dst), minWindow)
 	}
 }
 
 func TestECNSlowRecovery(t *testing.T) {
-	p := DefaultParams(ECNLike)
-	c := NewController(p)
+	c := NewController(ECNLike)
 	now := sim.Time(0)
 	c.OnAck(dst, 4096, true, 0, now)
 	cut := c.Window(dst)
 	// Recovery is slower than Slingshot's: after the same number of acks
 	// in quiet, ECN regains only a fraction.
-	later := now + 5*p.RecoveryQuiet
+	later := now + 5*recoveryQuiet
 	for i := 0; i < 10; i++ {
 		c.OnAck(dst, 4096, false, 0, later+sim.Time(i)*sim.Microsecond)
 	}
 	if c.Window(dst) <= cut {
 		t.Error("no recovery at all")
 	}
-	if c.Window(dst) >= p.InitialWindow {
+	if c.Window(dst) >= InitialWindow {
 		t.Error("ECN recovered implausibly fast")
 	}
 	// ECN ignores direct signals (it has no such channel).
@@ -244,20 +239,19 @@ func TestECNSlowRecovery(t *testing.T) {
 }
 
 func TestDelayCutsOnHighRTT(t *testing.T) {
-	p := DefaultParams(Delay)
-	c := NewController(p)
+	c := NewController(Delay)
 	now := sim.Time(0)
 	w0 := c.Window(dst)
 	// RTT at the target: no cut.
-	c.OnAck(dst, 4096, false, p.TargetRTT, now)
+	c.OnAck(dst, 4096, false, TargetRTT, now)
 	if c.Window(dst) < w0 {
 		t.Error("on-target RTT cut the window")
 	}
 	// RTT well past the target: proportional multiplicative cut.
-	now += p.RecoveryQuiet + sim.Microsecond
-	rtt := 2 * p.TargetRTT
+	now += recoveryQuiet + sim.Microsecond
+	rtt := 2 * TargetRTT
 	c.OnAck(dst, 4096, false, rtt, now)
-	want := int64(float64(w0) * (1 - p.DelayBeta*float64(rtt-p.TargetRTT)/float64(rtt)))
+	want := int64(float64(w0) * (1 - delayBeta*float64(rtt-TargetRTT)/float64(rtt)))
 	if got := c.Window(dst); got != want {
 		t.Errorf("window after 2x-target RTT = %d, want %d", got, want)
 	}
@@ -267,34 +261,33 @@ func TestDelayCutsOnHighRTT(t *testing.T) {
 	if c.Window(dst) != w1 {
 		t.Error("double cut within the rate-limit interval")
 	}
-	// Extreme RTTs are floored at DelayMaxCut per interval and bottom out
-	// at MinWindow.
+	// Extreme RTTs are floored at delayMaxCut per interval and bottom out
+	// at minWindow.
 	for i := 0; i < 30; i++ {
-		c.OnAck(dst, 4096, false, 100*p.TargetRTT, now+sim.Time(i+1)*p.RecoveryQuiet*2)
+		c.OnAck(dst, 4096, false, 100*TargetRTT, now+sim.Time(i+1)*recoveryQuiet*2)
 	}
-	if c.Window(dst) != p.MinWindow {
-		t.Errorf("window floor = %d, want %d", c.Window(dst), p.MinWindow)
+	if c.Window(dst) != minWindow {
+		t.Errorf("window floor = %d, want %d", c.Window(dst), minWindow)
 	}
 }
 
 func TestDelayRecoversOnTargetRTT(t *testing.T) {
-	p := DefaultParams(Delay)
-	c := NewController(p)
+	c := NewController(Delay)
 	now := sim.Time(0)
-	c.OnAck(dst, 4096, false, 4*p.TargetRTT, now)
+	c.OnAck(dst, 4096, false, 4*TargetRTT, now)
 	cut := c.Window(dst)
-	if cut >= p.InitialWindow {
+	if cut >= InitialWindow {
 		t.Fatal("high RTT did not cut")
 	}
 	// On-target samples after the quiet period recover additively.
-	later := now + 2*p.RecoveryQuiet
+	later := now + 2*recoveryQuiet
 	for i := 0; i < 200; i++ {
-		c.OnAck(dst, 4096, false, p.TargetRTT/2, later+sim.Time(i)*sim.Microsecond)
+		c.OnAck(dst, 4096, false, TargetRTT/2, later+sim.Time(i)*sim.Microsecond)
 	}
 	if c.Window(dst) <= cut {
 		t.Error("no recovery from on-target RTTs")
 	}
-	if c.Window(dst) > p.InitialWindow {
+	if c.Window(dst) > InitialWindow {
 		t.Error("recovery overshot the initial window")
 	}
 	// Zero RTT (no sample) neither cuts nor recovers.
@@ -311,8 +304,7 @@ func TestDelayRecoversOnTargetRTT(t *testing.T) {
 }
 
 func TestDelayTargetCalibration(t *testing.T) {
-	p := DefaultParams(Delay)
-	c := NewController(p)
+	c := NewController(Delay)
 	far := topology.NodeID(11)
 	cal, ok := c.(TargetCalibrator)
 	if !ok {
@@ -320,77 +312,69 @@ func TestDelayTargetCalibration(t *testing.T) {
 	}
 	// Oracle: the far pair's quiet RTT is past the fixed floor, dst's is
 	// below it.
-	farBase := p.TargetRTT + 4*sim.Microsecond
+	farBase := TargetRTT + 4*sim.Microsecond
 	cal.CalibrateTarget(func(d topology.NodeID) sim.Time {
 		if d == far {
 			return farBase
 		}
-		return p.TargetRTT / 2
+		return TargetRTT / 2
 	})
 	// A sample between floor and calibrated base is the topology speaking,
 	// not a queue: no cut on the far pair.
-	rtt := p.TargetRTT + 2*sim.Microsecond
+	rtt := TargetRTT + 2*sim.Microsecond
 	c.OnAck(far, 4096, false, rtt, 0)
-	if c.Window(far) != p.InitialWindow || c.Stats().TotalSignals != 0 {
+	if c.Window(far) != InitialWindow || c.Stats().TotalSignals != 0 {
 		t.Errorf("calibrated pair cut on a sub-base RTT: window %d, signals %d",
 			c.Window(far), c.Stats().TotalSignals)
 	}
 	// The same sample on the short pair is real queueing: cut, and with
 	// the overshoot measured against the floor (the oracle never lowers
-	// the target below Params.TargetRTT).
+	// the target below TargetRTT).
 	c.OnAck(dst, 4096, false, rtt, 0)
-	want := int64(float64(p.InitialWindow) * (1 - p.DelayBeta*float64(rtt-p.TargetRTT)/float64(rtt)))
+	want := int64(float64(InitialWindow) * (1 - delayBeta*float64(rtt-TargetRTT)/float64(rtt)))
 	if got := c.Window(dst); got != want {
 		t.Errorf("short pair window = %d, want %d", got, want)
 	}
 	// Past the calibrated base the far pair cuts too — calibration raises
 	// the setpoint, it does not disable the controller.
-	now := 2 * p.RecoveryQuiet
+	now := 2 * recoveryQuiet
 	c.OnAck(far, 4096, false, 2*farBase, now)
-	if c.Window(far) >= p.InitialWindow {
+	if c.Window(far) >= InitialWindow {
 		t.Error("far pair never cuts despite RTT past its calibrated base")
 	}
 	// An uncalibrated controller cuts the far pair on the sub-base sample:
 	// the over-throttle the oracle exists to prevent.
-	u := NewController(p)
+	u := NewController(Delay)
 	u.OnAck(far, 4096, false, rtt, 0)
-	if u.Window(far) >= p.InitialWindow {
+	if u.Window(far) >= InitialWindow {
 		// Expected: this is the misbehaviour. Guard the premise.
 	} else if u.Stats().TotalSignals == 0 {
 		t.Error("uncalibrated cut without counting a signal")
 	}
-	if u.Window(far) == p.InitialWindow {
+	if u.Window(far) == InitialWindow {
 		t.Error("uncalibrated controller did not cut on the sub-base RTT; the fixture lost its point")
 	}
 }
 
 func TestDelayPerPairIsolation(t *testing.T) {
-	p := DefaultParams(Delay)
-	c := NewController(p)
+	c := NewController(Delay)
 	other := topology.NodeID(9)
-	c.OnAck(dst, 4096, false, 4*p.TargetRTT, 0)
+	c.OnAck(dst, 4096, false, 4*TargetRTT, 0)
 	if c.Window(dst) >= c.Window(other) {
 		t.Error("cut leaked to unrelated pair")
 	}
 }
 
 func TestOutstandingNeverNegative(t *testing.T) {
-	c := NewController(DefaultParams(Slingshot))
+	c := NewController(Slingshot)
 	c.OnAck(dst, 4096, false, 0, 0) // ack with nothing outstanding
 	if got := c.Outstanding(dst); got != 0 {
 		t.Errorf("outstanding = %d", got)
 	}
 }
 
-func TestZeroParamsGetDefaults(t *testing.T) {
-	c := NewController(Params{Kind: Slingshot})
-	if c.Params().InitialWindow == 0 || c.Params().MinWindow == 0 {
-		t.Error("defaults not applied")
-	}
-}
-
 func TestStatsCountBlocksAndSignals(t *testing.T) {
-	c := NewController(DefaultParams(Slingshot))
+	c := NewController(Slingshot)
 	c.OnSignal(dst, 1, 0)
 	if c.Stats().TotalSignals != 1 {
 		t.Errorf("TotalSignals = %d", c.Stats().TotalSignals)

@@ -30,9 +30,9 @@ func fatTree25G(nodes int, cc congestion.Builder) *Network {
 // uncalibrated hides the CalibrateTarget method behind the plain
 // Controller interface, so the fabric's build-time wiring cannot reach
 // it — the controller runs with the fixed TargetRTT floor.
-func uncalibrated(params congestion.Params) congestion.Builder {
+func uncalibrated(kind congestion.Kind) congestion.Builder {
 	return func() congestion.Controller {
-		return struct{ congestion.Controller }{congestion.NewController(params)}
+		return struct{ congestion.Controller }{congestion.NewController(kind)}
 	}
 }
 
@@ -68,9 +68,9 @@ func streamQuiet(t *testing.T, n *Network) (sim.Time, congestion.Controller) {
 }
 
 func TestQuietRTTTracksTopology(t *testing.T) {
-	delay := congestion.DefaultParams(congestion.Delay)
-	n := fatTree25G(1024, congestion.BuilderFor(delay))
-	win := delay.InitialWindow
+	delay := congestion.BuilderFor(congestion.Delay)
+	n := fatTree25G(1024, delay)
+	win := congestion.InitialWindow
 	near := n.quietRTT(0, 1, win)                                // same switch
 	far := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win) // cross-pod
 	if near >= far {
@@ -79,15 +79,15 @@ func TestQuietRTTTracksTopology(t *testing.T) {
 	// The cross-pod quiet RTT exceeds the fixed floor — the regime where
 	// an uncalibrated delay controller misreads the topology as
 	// congestion.
-	if far <= delay.TargetRTT {
-		t.Errorf("cross-pod quiet RTT %v not above the fixed target %v; the fixture lost its point", far, delay.TargetRTT)
+	if far <= congestion.TargetRTT {
+		t.Errorf("cross-pod quiet RTT %v not above the fixed target %v; the fixture lost its point", far, congestion.TargetRTT)
 	}
 	// Determinism: the oracle is pure path shape, so asking twice (and on
 	// a fresh identical network) gives identical answers.
 	if again := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); again != far {
 		t.Errorf("quiet RTT unstable: %v then %v", far, again)
 	}
-	if other := fatTree25G(1024, congestion.BuilderFor(delay)).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
+	if other := fatTree25G(1024, delay).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
 		t.Errorf("quiet RTT differs across identical builds: %v vs %v", far, other)
 	}
 }
@@ -96,20 +96,20 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// Calibrated controllers on the big tree: the raised per-destination
 	// target absorbs the quiet base RTT, so a quiet stream sees no cuts
 	// and keeps the full window.
-	delay := congestion.DefaultParams(congestion.Delay)
-	big := fatTree25G(1024, congestion.BuilderFor(delay))
+	delay := congestion.BuilderFor(congestion.Delay)
+	big := fatTree25G(1024, delay)
 	bigFinish, cc := streamQuiet(t, big)
 	if s := cc.Stats().TotalSignals; s != 0 {
 		t.Errorf("calibrated controller cut %d times on a quiet path, want 0", s)
 	}
 	dst := topology.NodeID(big.Topo.Nodes() - 1)
-	if w := cc.Window(dst); w != delay.InitialWindow {
-		t.Errorf("calibrated window = %d, want the full %d", w, delay.InitialWindow)
+	if w := cc.Window(dst); w != congestion.InitialWindow {
+		t.Errorf("calibrated window = %d, want the full %d", w, congestion.InitialWindow)
 	}
 
 	// The same stream on a small tree finishes in about the same time:
 	// throughput is scale-invariant once the target tracks the topology.
-	small := fatTree25G(64, congestion.BuilderFor(delay))
+	small := fatTree25G(64, delay)
 	smallFinish, _ := streamQuiet(t, small)
 	if ratio := float64(bigFinish) / float64(smallFinish); ratio > 1.1 {
 		t.Errorf("calibrated stream slows down %.2fx from 64 to 1024 nodes, want scale-invariance", ratio)
@@ -118,13 +118,13 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// An uncalibrated controller on the same big tree reads the base RTT
 	// as standing queue: repeated spurious cuts collapse the window and
 	// the quiet stream runs several times slower.
-	uncal := fatTree25G(1024, uncalibrated(delay))
+	uncal := fatTree25G(1024, uncalibrated(congestion.Delay))
 	uncalFinish, uncc := streamQuiet(t, uncal)
 	if s := uncc.Stats().TotalSignals; s == 0 {
 		t.Fatalf("uncalibrated controller saw no delay cuts; the over-throttle regime is gone")
 	}
-	if w := uncc.Window(dst); w > delay.InitialWindow/4 {
-		t.Errorf("uncalibrated window = %d, expected collapse below %d", w, delay.InitialWindow/4)
+	if w := uncc.Window(dst); w > congestion.InitialWindow/4 {
+		t.Errorf("uncalibrated window = %d, expected collapse below %d", w, congestion.InitialWindow/4)
 	}
 	if ratio := float64(uncalFinish) / float64(bigFinish); ratio < 2 {
 		t.Errorf("uncalibrated stream only %.2fx slower than calibrated, want >= 2x", ratio)

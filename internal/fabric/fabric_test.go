@@ -181,6 +181,37 @@ func TestRendezvousSlowerThanEager(t *testing.T) {
 	}
 }
 
+// TestRendezvousBoundary pins the protocol boundary: a 16 KiB message
+// goes eager, one byte more takes the RTS/CTS handshake, and
+// NoRendezvous forces eager at any size.
+func TestRendezvousBoundary(t *testing.T) {
+	cases := []struct {
+		name  string
+		bytes int64
+		opts  SendOpts
+		rndv  bool
+	}{
+		{"16KiB", 16 * 1024, SendOpts{}, false},
+		{"16KiB+1", 16*1024 + 1, SendOpts{}, true},
+		{"NoRendezvous", 16*1024 + 1, SendOpts{NoRendezvous: true}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := quietNet(t, noJitter(SlingshotProfile()))
+			delivered := false
+			c.opts.OnDelivered = func(sim.Time) { delivered = true }
+			m := n.Send(0, 63, c.bytes, c.opts)
+			n.Eng.Run()
+			if !delivered {
+				t.Fatal("message never delivered")
+			}
+			if m.Rendezvous != c.rndv || m.rtsSent != c.rndv {
+				t.Errorf("Rendezvous = %v, RTS sent = %v; want both %v", m.Rendezvous, m.rtsSent, c.rndv)
+			}
+		})
+	}
+}
+
 func TestMessageOrderingPerPair(t *testing.T) {
 	// Messages between one pair complete in submission order (FIFO per
 	// destination queue).
@@ -251,7 +282,7 @@ func TestIncastTriggersSlingshotCC(t *testing.T) {
 	paced := false
 	for s := 4; s < 40; s++ {
 		if n.CC(topology.NodeID(s)).PaceGap(victimDst) > 0 ||
-			n.CC(topology.NodeID(s)).Window(victimDst) < congestion.DefaultParams(congestion.Slingshot).InitialWindow {
+			n.CC(topology.NodeID(s)).Window(victimDst) < congestion.InitialWindow {
 			paced = true
 			break
 		}
@@ -335,7 +366,7 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 	run := func(adaptive bool) sim.Time {
 		prof := noJitter(SlingshotProfile())
 		if !adaptive {
-			prof.Routing = routing.NewMinimalOnly
+			prof.Routing = routing.MinimalOnly{}
 		}
 		topo := topology.MustNew(topology.Config{
 			Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 1,

@@ -100,9 +100,8 @@ func (n *Network) SetFidelity(f Fidelity) {
 	prof := &n.Prof
 	const cell = ethernet.MaxPayload
 	caps := flow.Caps{
-		EdgeBits:   float64(prof.EdgeBits) * ethernet.Efficiency(cell, prof.EdgeMode),
-		LocalBits:  float64(prof.fabricBits()) * ethernet.Efficiency(cell, prof.FabricMode),
-		GlobalBits: float64(prof.fabricBits()) * ethernet.Efficiency(cell, prof.FabricMode),
+		EdgeBits:   float64(prof.EdgeBits) * ethernet.Efficiency(cell, edgeMode),
+		FabricBits: float64(prof.fabricBits()) * ethernet.Efficiency(cell, prof.FabricMode),
 	}
 	n.flowEng = flow.NewEngine(n.Topo, caps)
 	n.flowEng.Hooks = (*flowHooks)(n)
@@ -167,7 +166,7 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 	// A pair the congestion controller is actively throttling is by
 	// definition not in fluid steady state.
 	cc := n.nics[src].cc
-	if cc.Window(dst) < cc.Params().InitialWindow {
+	if cc.Window(dst) < cc.InitialWindow() {
 		return false
 	}
 	return true
@@ -229,7 +228,7 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 	// The data leg: host overhead, NIC tx+rx, flight, and one cell of
 	// store-and-forward pipeline drain per switch (the fluid serialization
 	// itself is the transfer's bytes/rate and lives in the solver).
-	lat = prof.HostGap + 2*prof.NICLatency + wire
+	lat = prof.HostGap + 2*nicLatency + wire
 	lat += sim.Time(switches) * sim.SerializationTime(ethernet.MaxPayload, prof.fabricBits())
 	ackLat = n.revLatency(path)
 	gap := prof.HostGap
@@ -246,7 +245,7 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 	// serializes the extra bytes at up to edge rate, so subtracting the
 	// gap from the latency makes the charge completion-neutral when
 	// unloaded and a throughput brake when streaming.
-	extraBytes = int64(float64(gap) / 8e12 * float64(prof.EdgeBits) * ethernet.Efficiency(ethernet.MaxPayload, prof.EdgeMode))
+	extraBytes = int64(float64(gap) / 8e12 * float64(prof.EdgeBits) * ethernet.Efficiency(ethernet.MaxPayload, edgeMode))
 	if lat > gap {
 		lat -= gap
 	} else {

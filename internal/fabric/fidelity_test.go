@@ -127,9 +127,9 @@ func TestHybridBackgroundLoadVisible(t *testing.T) {
 		t.Errorf("QueuedAtEdge(%d) = 0 under fluid saturation; background load invisible", dst)
 	}
 	// The edge segment is saturated, so its equivalent should read deep.
-	if got := n.QueuedAtEdge(dst); got < n.Prof.EcnThreshold {
+	if got := n.QueuedAtEdge(dst); got < ecnThreshold {
 		t.Errorf("QueuedAtEdge(%d) = %d, want >= ECN threshold %d under saturation",
-			dst, got, n.Prof.EcnThreshold)
+			dst, got, ecnThreshold)
 	}
 	// A quiet node reads zero.
 	if got := n.QueuedAtEdge(1); got != 0 {

@@ -37,9 +37,6 @@ type Network struct {
 	switches []*Switch
 	nics     []*NIC
 	msgID    int64
-	// policy is the source-switch routing policy every injected packet's
-	// path comes from (built by Profile.Routing).
-	policy routing.Policy
 	// wantSignals/wantECN cache the congestion algorithm's fabric-side
 	// hooks (congestion.Hooks), so the per-packet enqueue path reads two
 	// bools instead of dispatching on the controller.
@@ -122,12 +119,11 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 		panic(fmt.Sprintf("fabric: bad QoS config: %v", err))
 	}
 	n := &Network{
-		Topo:   topo,
-		Eng:    sim.NewEngine(),
-		Prof:   prof,
-		QoS:    qcfg,
-		rng:    sim.NewRNG(seed),
-		policy: prof.Routing(),
+		Topo: topo,
+		Eng:  sim.NewEngine(),
+		Prof: prof,
+		QoS:  qcfg,
+		rng:  sim.NewRNG(seed),
 	}
 	n.build()
 	if domains <= 0 {
@@ -184,7 +180,7 @@ func (n *Network) build() {
 	// valiant detours) as standing queue and over-throttles.
 	for _, nic := range n.nics {
 		if cal, ok := nic.cc.(congestion.TargetCalibrator); ok {
-			src, win := nic.ID, nic.cc.Params().InitialWindow
+			src, win := nic.ID, nic.cc.InitialWindow()
 			cal.CalibrateTarget(func(dst topology.NodeID) sim.Time {
 				return n.quietRTT(src, dst, win)
 			})
@@ -210,7 +206,7 @@ func (n *Network) build() {
 			// Switch -> NIC.
 			down := &outPort{
 				net: n, sched: newSched(), bits: prof.EdgeBits,
-				prop: phy.EdgeDelay(), mode: prof.EdgeMode,
+				prop: phy.EdgeDelay(), mode: edgeMode,
 				owner: sw, peerNIC: nic, edge: true,
 			}
 			down.phy, down.rng = newPhy()
@@ -219,7 +215,7 @@ func (n *Network) build() {
 			// switch's input buffer.
 			up := &outPort{
 				net: n, sched: newSched(), bits: prof.EdgeBits,
-				prop: phy.EdgeDelay(), mode: prof.EdgeMode,
+				prop: phy.EdgeDelay(), mode: edgeMode,
 				ownerNIC: nic, peerSw: sw, credits: prof.InputBufferBytes,
 			}
 			up.phy, up.rng = newPhy()
@@ -297,7 +293,7 @@ func (n *Network) Send(src, dst topology.NodeID, bytes int64, opts SendOpts) *Me
 	m.OnAcked = opts.OnAcked
 	m.numPackets = ethernet.Packets(bytes, ethernet.MaxPayload)
 	m.recycle = opts.Recycle
-	if n.Prof.RendezvousThreshold > 0 && bytes > n.Prof.RendezvousThreshold && !opts.NoRendezvous {
+	if bytes > rendezvousThreshold && !opts.NoRendezvous {
 		m.Rendezvous = true
 	}
 	m.Tag = opts.Tag
@@ -336,10 +332,6 @@ func (n *Network) NIC(id topology.NodeID) *NIC { return n.nics[id] }
 
 // CC returns a node's congestion controller (tests/inspection).
 func (n *Network) CC(id topology.NodeID) congestion.Controller { return n.nics[id].cc }
-
-// RoutingPolicy returns the routing policy this network dispatches through
-// (tests/inspection).
-func (n *Network) RoutingPolicy() routing.Policy { return n.policy }
 
 // choosePath runs the source-switch routing decision for a packet (§II-C:
 // the source switch estimates the load of candidate paths). The policy
@@ -381,7 +373,7 @@ func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int6
 	// own queues read live, remote ones off the epoch snapshot (in classic
 	// mode the one domain owns everything, so every read is live — the
 	// pre-sharding behaviour).
-	return n.policy.Choose(n.Topo, routing.Context{
+	return n.Prof.Routing.Choose(n.Topo, routing.Context{
 		Src: src, Dst: dst,
 		SrcNode: srcNode, DstNode: dstNode,
 		FlowID: flowID, Class: class,
@@ -438,7 +430,7 @@ func (n *Network) quietRTT(src, dst topology.NodeID, window int64) sim.Time {
 			switches = len(path)
 		}
 	}
-	rtt := 2*prof.NICLatency + sim.SerializationTime(window, prof.EdgeBits)
+	rtt := 2*nicLatency + sim.SerializationTime(window, prof.EdgeBits)
 	rtt += sim.Time(switches) * rosetta.MeanTraversal(0, 2)
 	rtt += 2 * n.revLatency(path)
 	return rtt

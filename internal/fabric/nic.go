@@ -173,7 +173,7 @@ type nicSignal NIC
 func (h *nicSignal) OnEvent(e *sim.Engine, ev *sim.Event) {
 	n := (*NIC)(h)
 	m := ev.Data.(*Message)
-	sev := float64(ev.Arg) / float64(4*n.net.Prof.EndpointThreshold)
+	sev := float64(ev.Arg) / float64(4*endpointThreshold)
 	if sev > 1 {
 		sev = 1
 	}

@@ -203,7 +203,7 @@ func (o *outPort) transmit(p *Packet, now sim.Time) {
 	case o.peerSw != nil:
 		o.dom.post(o.peerSw.dom, now+arrival, (*switchArrive)(o.peerSw), 0, p)
 	default:
-		o.dom.eng.After(arrival+o.net.Prof.NICLatency, (*nicDeliver)(o.peerNIC), 0, p)
+		o.dom.eng.After(arrival+nicLatency, (*nicDeliver)(o.peerNIC), 0, p)
 	}
 }
 

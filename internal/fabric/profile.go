@@ -44,15 +44,15 @@ type Profile struct {
 	InputBufferBytes int64
 
 	// CC constructs each NIC's endpoint congestion controller
-	// (congestion.BuilderFor(congestion.DefaultParams(kind)) for a stock
-	// algorithm). The fabric reads the built controller's Hooks to decide
-	// whether switches emit endpoint back-pressure and/or mark ECN.
+	// (congestion.BuilderFor(kind) for a stock algorithm). The fabric
+	// reads the built controller's Hooks to decide whether switches emit
+	// endpoint back-pressure and/or mark ECN.
 	CC congestion.Builder
 
-	// Routing constructs the network's source-switch routing policy
-	// (routing.NewSlingshotAdaptive for §II-C adaptive routing,
-	// routing.NewMinimalOnly for the first minimal path).
-	Routing routing.Builder
+	// Routing is the network's source-switch routing policy
+	// (routing.SlingshotAdaptive{} for §II-C adaptive routing,
+	// routing.MinimalOnly{} for the first minimal path).
+	Routing routing.Policy
 	// MinimalBias > 1 biases path costs towards minimal paths (§II-C).
 	MinimalBias float64
 	// RouteNoise randomizes path-cost estimates (0 = perfect information).
@@ -61,27 +61,14 @@ type Profile struct {
 	// aggressively than Slingshot, whose estimates ride every ack (§II-C).
 	RouteNoise float64
 
-	// EdgeMode is the Ethernet framing on edge links (standard RoCE NICs
-	// speak classic Ethernet); FabricMode is switch-to-switch framing
-	// (always Slingshot-enhanced on Rosetta).
-	EdgeMode, FabricMode ethernet.Mode
+	// FabricMode is the switch-to-switch Ethernet framing
+	// (Slingshot-enhanced on Rosetta); edge links always speak edgeMode.
+	FabricMode ethernet.Mode
 
 	// HostGap is the per-message host/driver overhead; it serializes
 	// message injection on a NIC and sets the small-message rate
 	// (~0.85 us -> ~1.2 M msg/s, matching Fig. 4's 8 B bandwidth).
 	HostGap sim.Time
-	// NICLatency is the fixed tx/rx hardware latency per side.
-	NICLatency sim.Time
-	// RendezvousThreshold: messages strictly larger use an RTS/CTS
-	// handshake before data flows (0 disables rendezvous).
-	RendezvousThreshold int64
-
-	// EndpointThreshold is the egress-queue depth at an edge port beyond
-	// which the switch emits per-source back-pressure (Slingshot CC).
-	EndpointThreshold int64
-	// EcnThreshold marks packets on any egress queue deeper than this
-	// (ECN-like CC).
-	EcnThreshold int64
 
 	// SwitchJitter samples per-traversal latency from the Fig. 2
 	// distribution; false uses the deterministic mean (for calibration
@@ -104,31 +91,44 @@ type Profile struct {
 	QoS *qos.Config
 }
 
+// Hardware constants every profile shares.
+const (
+	// edgeMode is the Ethernet framing on edge links: standard RoCE NICs
+	// speak classic Ethernet.
+	edgeMode = ethernet.Standard
+	// nicLatency is the fixed tx/rx hardware latency per side.
+	nicLatency = 300 * sim.Nanosecond
+	// rendezvousThreshold: messages strictly larger use an RTS/CTS
+	// handshake before data flows (unless SendOpts.NoRendezvous).
+	rendezvousThreshold int64 = 16 * 1024
+	// endpointThreshold is the egress-queue depth at an edge port beyond
+	// which the switch emits per-source back-pressure (Slingshot CC).
+	endpointThreshold int64 = 24 * 1024
+	// ecnThreshold marks packets on any egress queue deeper than this
+	// (ECN-like CC).
+	ecnThreshold int64 = 64 * 1024
+)
+
 // SlingshotProfile models Malbec/Shandy: Rosetta switches, Slingshot
 // congestion control, adaptive routing, RoCE NICs at 100 Gb/s.
 func SlingshotProfile() Profile {
 	return Profile{
-		Name:                "slingshot",
-		FabricBits:          200e9,
-		EdgeBits:            100e9,
-		Taper:               1,
-		InputBufferBytes:    rosetta.InputBufferBytes,
-		CC:                  congestion.BuilderFor(congestion.DefaultParams(congestion.Slingshot)),
-		Routing:             routing.NewSlingshotAdaptive,
-		MinimalBias:         2,
-		RouteNoise:          0.1,
-		EdgeMode:            ethernet.Standard,
-		FabricMode:          ethernet.Enhanced,
-		HostGap:             850 * sim.Nanosecond,
-		NICLatency:          300 * sim.Nanosecond,
-		RendezvousThreshold: 16 * 1024,
-		EndpointThreshold:   24 * 1024,
-		EcnThreshold:        64 * 1024,
-		SwitchJitter:        true,
-		FrameBER:            0,
-		LLR:                 true,
-		RetryTimeout:        50 * sim.Microsecond,
-		QoS:                 nil,
+		Name:             "slingshot",
+		FabricBits:       200e9,
+		EdgeBits:         100e9,
+		Taper:            1,
+		InputBufferBytes: rosetta.InputBufferBytes,
+		CC:               congestion.BuilderFor(congestion.Slingshot),
+		Routing:          routing.SlingshotAdaptive{},
+		MinimalBias:      2,
+		RouteNoise:       0.1,
+		FabricMode:       ethernet.Enhanced,
+		HostGap:          850 * sim.Nanosecond,
+		SwitchJitter:     true,
+		FrameBER:         0,
+		LLR:              true,
+		RetryTimeout:     50 * sim.Microsecond,
+		QoS:              nil,
 	}
 }
 
@@ -141,14 +141,13 @@ func AriesProfile() Profile {
 	p.FabricBits = 42e9 // ~5.25 GB/s Aries fabric link
 	p.EdgeBits = 82e9   // 81.6 Gb/s peak injection (§IV-A)
 	p.InputBufferBytes = rosetta.AriesInputBufferBytes
-	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.None))
+	p.CC = congestion.BuilderFor(congestion.None)
 	// Aries biases much less towards minimal paths and works from coarser
 	// congestion information, spreading heavy flows across the whole
 	// group (§IV-A; the mechanism that lets congestion trees reach
 	// unrelated jobs).
 	p.MinimalBias = 1.05
 	p.RouteNoise = 0.6
-	p.EdgeMode = ethernet.Standard
 	p.FabricMode = ethernet.Standard
 	// Aries adaptive routing is similar (§I: "uses a similar routing
 	// algorithm"); keep it on.
@@ -166,25 +165,14 @@ func FatTree100GProfile() Profile {
 	p.Name = "fattree-100g"
 	p.FabricBits = 100e9
 	p.EdgeBits = 100e9
-	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))
+	p.CC = congestion.BuilderFor(congestion.ECNLike)
 	// ECMP hashes flows over the equal-cost ups without congestion
 	// feedback: model it as minimal-only-ish spreading with coarse load
 	// information.
 	p.MinimalBias = 4
 	p.RouteNoise = 0.3
-	p.EdgeMode = ethernet.Standard
 	p.FabricMode = ethernet.Standard
 	p.LLR = false // plain Ethernet links, no link-level retry
-	return p
-}
-
-// ECNProfile is a Slingshot system running classical ECN-style congestion
-// control instead of the per-pair hardware scheme — used by the ablation
-// benchmarks to isolate the contribution of Slingshot's CC design.
-func ECNProfile() Profile {
-	p := SlingshotProfile()
-	p.Name = "slingshot-ecn"
-	p.CC = congestion.BuilderFor(congestion.DefaultParams(congestion.ECNLike))
 	return p
 }
 

@@ -113,16 +113,15 @@ func (s *Switch) bestPortTo(next topology.SwitchID) *outPort {
 func (s *Switch) enqueue(o *outPort, p *Packet) {
 	o.sched.Enqueue(p.Class, int(bufBytes(p)), p)
 
-	prof := &s.net.Prof
 	// Fluid background load counts toward both congestion-detection
 	// thresholds so hybrid-mode CC reacts to bulk flows it shares the
 	// port with (zero at the packet default).
 	if s.net.wantSignals && o.edge && !p.ctrl {
-		if q := o.queuedBytes() + o.bgQueued(); q > prof.EndpointThreshold {
+		if q := o.queuedBytes() + o.bgQueued(); q > endpointThreshold {
 			s.signalSource(p, q)
 		}
 	}
-	if s.net.wantECN && o.queuedBytes()+o.bgQueued() > prof.EcnThreshold {
+	if s.net.wantECN && o.queuedBytes()+o.bgQueued() > ecnThreshold {
 		p.ecnMarked = true
 	}
 	o.pump()

@@ -186,7 +186,7 @@ func TestBackendsAdaptiveSpreadsLoad(t *testing.T) {
 				topo := c.topo()
 				prof := backendProfile(kind)
 				if !adaptive {
-					prof.Routing = routing.NewMinimalOnly
+					prof.Routing = routing.MinimalOnly{}
 				}
 				n := New(topo, prof, 3)
 				done, total := 0, 0
@@ -218,7 +218,7 @@ func TestECMPPathsDeterministicAndInterleavingFree(t *testing.T) {
 			Pods: 2, EdgePerPod: 2, AggPerPod: 2, CorePerAgg: 2, NodesPerEdge: 4,
 		})
 		prof := backendProfile("fattree")
-		prof.Routing = routing.NewECMPHash
+		prof.Routing = routing.ECMPHash{}
 		return New(topo, prof, 9)
 	}
 	const flows = 64

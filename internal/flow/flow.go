@@ -54,8 +54,7 @@ import (
 // bytes at the same rate a packet stream saturating the link would.
 type Caps struct {
 	EdgeBits   float64 // node<->switch links, each direction
-	LocalBits  float64 // intra-group (electrical) switch links
-	GlobalBits float64 // inter-group (optical) switch links
+	FabricBits float64 // switch<->switch links, each direction
 }
 
 // Hooks receives flow completion callbacks. Delivered fires when the last
@@ -197,7 +196,7 @@ func (o *byID) Swap(i, j int)      { o.f[i], o.f[j] = o.f[j], o.f[i] }
 
 // NewEngine builds the segment capacity tables for topo. Capacities pool
 // parallel links: a Dragonfly pair joined by two global links yields one
-// segment at twice GlobalBits, which is how the packet engine's
+// segment at twice FabricBits, which is how the packet engine's
 // round-robin over parallel ports behaves in aggregate.
 func NewEngine(topo topology.Topology, caps Caps) *Engine {
 	e := &Engine{topo: topo, dirtyGen: 1}
@@ -222,12 +221,8 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 			e.segCap[e.edgeUp+int32(lk.Node)] = caps.EdgeBits
 			e.segCap[e.edgeDn+int32(lk.Node)] = caps.EdgeBits
 		case topology.LocalLink, topology.GlobalLink:
-			bits := caps.LocalBits
-			if lk.Kind == topology.GlobalLink {
-				bits = caps.GlobalBits
-			}
-			e.segCap[e.segOf(lk.A, lk.B)] += bits
-			e.segCap[e.segOf(lk.B, lk.A)] += bits
+			e.segCap[e.segOf(lk.A, lk.B)] += caps.FabricBits
+			e.segCap[e.segOf(lk.B, lk.A)] += caps.FabricBits
 		}
 	}
 	e.activeTo = make([]int32, nodes)

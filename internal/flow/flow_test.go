@@ -17,12 +17,11 @@ func testTopo(t *testing.T) topology.Topology {
 
 const (
 	tEdge   = 100e9
-	tLocal  = 200e9
-	tGlobal = 200e9
+	tFabric = 200e9
 )
 
 func newTestEngine(t *testing.T) *Engine {
-	return NewEngine(testTopo(t), Caps{EdgeBits: tEdge, LocalBits: tLocal, GlobalBits: tGlobal})
+	return NewEngine(testTopo(t), Caps{EdgeBits: tEdge, FabricBits: tFabric})
 }
 
 // recorder collects completion callbacks.
@@ -275,7 +274,7 @@ func TestPathChoiceSpreads(t *testing.T) {
 	// per dimension order); repeated flows across the diagonal must
 	// spread over both rather than pile onto one.
 	topo := topology.MustBuild(topology.HyperXConfig{Dims: []int{2, 2}, NodesPerSwitch: 2})
-	e := NewEngine(topo, Caps{EdgeBits: tEdge, LocalBits: tLocal, GlobalBits: tGlobal})
+	e := NewEngine(topo, Caps{EdgeBits: tEdge, FabricBits: tFabric})
 	e.Hooks = &recorder{}
 	src := topology.NodeID(0) // on switch (0,0)
 	for i := 0; i < 8; i++ {

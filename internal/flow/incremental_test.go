@@ -69,7 +69,7 @@ func TestIncrementalMatchesFullRandomized(t *testing.T) {
 	for name, build := range equivTopos(t) {
 		t.Run(name, func(t *testing.T) {
 			topo := build()
-			caps := Caps{EdgeBits: tEdge, LocalBits: tLocal, GlobalBits: tGlobal}
+			caps := Caps{EdgeBits: tEdge, FabricBits: tFabric}
 			ref := NewEngine(topo, caps)
 			ref.SetForceFull(true)
 			ref.Hooks = &recorder{}

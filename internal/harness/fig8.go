@@ -52,7 +52,7 @@ func fig8(opt Options) (*results.Result, error) {
 
 		ajob := mpi.NewJob(net, aggrNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 2, Bulk: true})
 		agg := workloads.StartIncast(ajob, workloads.AggressorMsgBytes, 2)
-		net.RunFor(300 * sim.Microsecond)
+		net.RunFor(aggressorWarmup)
 		cong := sampleApp(vjob, p.app, rng, opt.MaxIters)
 		agg.Stop()
 

@@ -112,6 +112,10 @@ func (k AggressorKind) String() string {
 // aggressor or bisection job loads no link.
 const MinCellNodes = 4
 
+// aggressorWarmup is how long an aggressor loads the fabric before the
+// congested measurement starts.
+const aggressorWarmup = 300 * sim.Microsecond
+
 // CellSpec fully describes one congestion-grid cell. TotalNodes must be
 // at least MinCellNodes.
 type CellSpec struct {
@@ -124,9 +128,6 @@ type CellSpec struct {
 	Seed       uint64
 	MinIters   int
 	MaxIters   int
-	// Warmup lets the aggressor load the fabric before congested
-	// measurement starts.
-	Warmup sim.Time
 }
 
 // CellResult is one measured heatmap element.
@@ -241,11 +242,7 @@ func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 	} else {
 		agg = workloads.StartAlltoall(ajob, workloads.AggressorMsgBytes)
 	}
-	warm := spec.Warmup
-	if warm == 0 {
-		warm = 300 * sim.Microsecond
-	}
-	net.RunFor(warm)
+	net.RunFor(aggressorWarmup)
 
 	measureVictim(cong, vjob, v, rng.Split(), minIters, maxIters)
 	res.Congested = cong.Mean()

@@ -49,11 +49,11 @@ func policySystem(topoName, routingName, ccName string, machineNodes int) (Syste
 		return System{}, err
 	}
 	sys.Name = fmt.Sprintf("%s/%s/%s", topoName, routingName, ccName)
-	rb, err := routing.ByName(routingName)
+	rp, err := routing.ByName(routingName)
 	if err != nil {
 		return System{}, err
 	}
-	sys.Prof.Routing = rb
+	sys.Prof.Routing = rp
 	cb, err := congestion.ByName(ccName)
 	if err != nil {
 		return System{}, err

@@ -40,10 +40,10 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
 // programming errors. The registered Run is wrapped to reject negative
-// scale options, an unknown Options.Fidelity, Panel or Victims, and a
-// machine below MinNodes with an error, to apply the experiment's
-// defaults, and to stamp result metadata and wall time. The wrapper is
-// the only way to run an experiment.
+// scale and parallelism options, an unknown Options.Fidelity, Panel or
+// Victims, and a machine below MinNodes with an error, to apply the
+// experiment's defaults, and to stamp result metadata and wall time. The
+// wrapper is the only way to run an experiment.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -63,6 +63,10 @@ func Register(e Experiment) {
 		if opt.Nodes < 0 || opt.MinIters < 0 || opt.MaxIters < 0 || opt.PPN < 0 {
 			return nil, fmt.Errorf("%s: negative scale option (Nodes %d, MinIters %d, MaxIters %d, PPN %d)",
 				name, opt.Nodes, opt.MinIters, opt.MaxIters, opt.PPN)
+		}
+		if opt.Jobs < 0 || opt.Domains < 0 {
+			return nil, fmt.Errorf("%s: negative parallelism option (Jobs %d, Domains %d)",
+				name, opt.Jobs, opt.Domains)
 		}
 		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)

@@ -195,10 +195,10 @@ func TestRunRejectsUnknownFidelity(t *testing.T) {
 
 // TestRunRejectsBadOptions drives registered experiments with inputs
 // they cannot run and expects an error rather than a panic, a hang or a
-// report of nothing: negative scale counts, machines too small to give
-// each of the experiment's jobs two nodes, an unknown panel or victim
-// set, and fluid fidelities on the traffic-class figures, which measure
-// switch queues only packets pass through.
+// report of nothing: negative scale and parallelism counts, machines too
+// small to give each of the experiment's jobs two nodes, an unknown panel
+// or victim set, and fluid fidelities on the traffic-class figures, which
+// measure switch queues only packets pass through.
 func TestRunRejectsBadOptions(t *testing.T) {
 	cases := []struct {
 		exp, name string
@@ -208,6 +208,8 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"fig2", "min-iters=-1", Options{MinIters: -1}},
 		{"fig2", "nodes=-8", Options{Nodes: -8}},
 		{"fig2", "ppn=-2", Options{PPN: -2}},
+		{"fig2", "jobs=-1", Options{Jobs: -1}},
+		{"fig2", "domains=-1", Options{Domains: -1}},
 		{"topo-compare", "nodes=1", Options{Nodes: 1}},
 		{"topo-compare", "nodes=2", Options{Nodes: 2}},
 		{"topo-compare", "nodes=3", Options{Nodes: 3}},

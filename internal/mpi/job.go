@@ -14,14 +14,8 @@ type Job struct {
 	Nodes []topology.NodeID
 	PPN   int
 	Stack Stack
-	Class int   // traffic class index for bulk traffic
+	Class int   // traffic class index of every message
 	Tag   int64 // job label carried on every message
-	// LatencyClass, when >= 0, carries small messages (<= LatencyClassBytes)
-	// on a separate traffic class — the §II-E optimization of assigning
-	// latency-sensitive collectives like MPI_Barrier and MPI_Allreduce to
-	// a high-priority, low-bandwidth class while bulk transfers ride a
-	// high-bandwidth one.
-	LatencyClass int
 	// Bulk marks every transfer this job sends as steady background
 	// traffic (fabric.SendOpts.Bulk) — a candidate for the flow-level
 	// fast path on hybrid-fidelity networks. Ignored at packet fidelity.
@@ -36,20 +30,12 @@ type Job struct {
 	pmFree []*planMsg
 }
 
-// LatencyClassBytes is the size at or below which messages use the job's
-// LatencyClass (when configured).
-const LatencyClassBytes = 1024
-
 // JobOpts configures a job.
 type JobOpts struct {
 	PPN   int
 	Stack Stack
 	Class int
 	Tag   int64
-	// LatencyClass < 0 (default via NewJob when left zero-valued
-	// alongside UseLatencyClass=false) disables per-size class selection.
-	LatencyClass    int
-	UseLatencyClass bool
 	// Bulk marks the job's traffic for the hybrid flow-level fast path;
 	// see Job.Bulk.
 	Bulk bool
@@ -64,19 +50,14 @@ func NewJob(net *fabric.Network, nodes []topology.NodeID, opts JobOpts) *Job {
 	if len(nodes) == 0 {
 		panic("mpi: job with no nodes")
 	}
-	lat := -1
-	if opts.UseLatencyClass {
-		lat = opts.LatencyClass
-	}
 	return &Job{
-		Net:          net,
-		Nodes:        nodes,
-		PPN:          opts.PPN,
-		Stack:        opts.Stack,
-		Class:        opts.Class,
-		Tag:          opts.Tag,
-		LatencyClass: lat,
-		Bulk:         opts.Bulk,
+		Net:   net,
+		Nodes: nodes,
+		PPN:   opts.PPN,
+		Stack: opts.Stack,
+		Class: opts.Class,
+		Tag:   opts.Tag,
+		Bulk:  opts.Bulk,
 	}
 }
 
@@ -183,9 +164,6 @@ func (j *Job) send(from, to int, bytes int64, oneSided bool, cb func(at sim.Time
 	op.noRendez = j.Stack.Sockets() || oneSided
 	op.recvOH = j.Stack.RecvOverhead(bytes)
 	op.cb = cb
-	if j.LatencyClass >= 0 && bytes <= LatencyClassBytes {
-		op.class = j.LatencyClass
-	}
 	j.Net.Eng.After(j.Stack.SendOverhead(bytes), op, 0, nil)
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/fabric"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -333,44 +332,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestLatencyClassSelection(t *testing.T) {
-	// With UseLatencyClass, small messages ride the latency class and bulk
-	// messages the job's base class (§II-E per-operation classes).
-	topo := topology.MustNew(topology.Config{
-		Groups: 2, SwitchesPerGroup: 2, NodesPerSwitch: 4, GlobalPerPair: 2,
-	})
-	prof := fabric.SlingshotProfile()
-	prof.SwitchJitter = false
-	prof.QoS = &qos.Config{Classes: []qos.Class{
-		{Name: "bulk", MinShare: 0.5, MinimalBias: 1},
-		{Name: "latency", Priority: 5, MinShare: 0.1, MinimalBias: 1},
-	}}
-	net := fabric.New(topo, prof, 1)
-	classes := map[int]int{}
-	net.Taps.OnPacketDelivered = func(p *fabric.Packet, _ sim.Time) {
-		classes[p.Class]++
-	}
-	j := NewJob(net, []topology.NodeID{0, 9}, JobOpts{
-		Stack: MPI, Class: 0, LatencyClass: 1, UseLatencyClass: true,
-	})
-	done := 0
-	j.Send(0, 1, 8, func(sim.Time) { done++ })        // latency class
-	j.Send(0, 1, 128*1024, func(sim.Time) { done++ }) // bulk class
-	net.Eng.Run()
-	if done != 2 {
-		t.Fatalf("completed %d/2", done)
-	}
-	if classes[1] == 0 {
-		t.Error("small message did not use the latency class")
-	}
-	if classes[0] == 0 {
-		t.Error("bulk message did not use the base class")
-	}
-	// Disabled by default.
-	j2 := NewJob(net, []topology.NodeID{0, 9}, JobOpts{Stack: MPI})
-	if j2.LatencyClass != -1 {
-		t.Errorf("LatencyClass default = %d, want -1", j2.LatencyClass)
-	}
 }

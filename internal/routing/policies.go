@@ -5,19 +5,9 @@ import (
 	"repro/internal/topology"
 )
 
-func init() {
-	Register("minimal", NewMinimalOnly)
-	Register("adaptive", NewSlingshotAdaptive)
-	Register("ecmp", NewECMPHash)
-	Register("valiant", NewValiantUGAL)
-}
-
 // MinimalOnly always takes the first minimal path — the deterministic
 // baseline every comparison starts from.
 type MinimalOnly struct{}
-
-// NewMinimalOnly constructs the minimal-only policy.
-func NewMinimalOnly() Policy { return MinimalOnly{} }
 
 // Name returns "minimal".
 func (MinimalOnly) Name() string { return "minimal" }
@@ -38,9 +28,6 @@ func (MinimalOnly) Choose(_ topology.Topology, _ Context, minimal []topology.Pat
 // order (non-minimal enumeration first, then one noise draw per cost
 // evaluation) is what keeps the pre-refactor goldens byte-identical.
 type SlingshotAdaptive struct{}
-
-// NewSlingshotAdaptive constructs the Slingshot adaptive policy.
-func NewSlingshotAdaptive() Policy { return SlingshotAdaptive{} }
 
 // Name returns "adaptive".
 func (SlingshotAdaptive) Name() string { return "adaptive" }
@@ -102,9 +89,6 @@ func costNoise(routeNoise float64, rng *sim.RNG) float64 {
 // worker count or call interleaving.
 type ECMPHash struct{}
 
-// NewECMPHash constructs the ECMP flow-hash policy.
-func NewECMPHash() Policy { return ECMPHash{} }
-
 // Name returns "ecmp".
 func (ECMPHash) Name() string { return "ecmp" }
 
@@ -138,9 +122,6 @@ func flowHash(src, dst topology.NodeID, flow int64, class int) uint64 {
 // minimal path. On an idle fabric it degenerates to minimal routing (and
 // allocates nothing); under adversarial load it spreads like Valiant.
 type ValiantUGAL struct{}
-
-// NewValiantUGAL constructs the Valiant/UGAL policy.
-func NewValiantUGAL() Policy { return ValiantUGAL{} }
 
 // Name returns "valiant".
 func (ValiantUGAL) Name() string { return "valiant" }

@@ -20,9 +20,10 @@
 //   - Zero steady-state allocations on the cached-minimal path: returning
 //     one of the minimal candidates must not allocate. Only copying a
 //     non-minimal arena path may.
-//   - Single-goroutine use: a Policy instance belongs to one
-//     fabric.Network (each network builds its own via the Builder), which
-//     is single-threaded.
+//   - Stateless: a Policy is a plain value carrying no mutable state, so
+//     one value serves every network and every simulation domain at once
+//     (a sharded network calls its policy from all domains concurrently).
+//     Everything a decision needs arrives in its arguments.
 package routing
 
 import (
@@ -73,7 +74,7 @@ type LoadReader interface {
 
 // Policy chooses the switch-level path for one packet.
 type Policy interface {
-	// Name returns the policy's registry name.
+	// Name returns the policy's name (what ByName looks up).
 	Name() string
 	// Choose picks a path from ctx.Src to ctx.Dst. minimal holds the
 	// topology's cached minimal candidates (never empty, never to be
@@ -85,43 +86,25 @@ type Policy interface {
 		load LoadReader, rng *sim.RNG) topology.Path
 }
 
-// Builder constructs a fresh Policy instance. Each fabric.Network calls
-// its profile's builder once, so stateful policies (flow tables, per-pair
-// history) never share state across networks built in parallel.
-type Builder func() Policy
+// policies is the single list of selectable policies ByName and Names
+// derive from; a new policy is added here.
+var policies = [...]Policy{MinimalOnly{}, SlingshotAdaptive{}, ECMPHash{}, ValiantUGAL{}}
 
-var builders = map[string]Builder{} //simlint:shared -- written only by init-time Register (panics on duplicates); read-only once main starts
-
-// Register adds a policy constructor under a name. It panics on a
-// duplicate or empty name — registration happens in init functions, so
-// both are programming errors.
-func Register(name string, b Builder) {
-	if name == "" {
-		panic("routing: Register with empty policy name")
+// ByName returns the policy with the given name.
+func ByName(name string) (Policy, error) {
+	for _, p := range policies {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
-	if b == nil {
-		panic(fmt.Sprintf("routing: Register(%q) with nil builder", name))
-	}
-	if _, dup := builders[name]; dup {
-		panic(fmt.Sprintf("routing: duplicate policy %q", name))
-	}
-	builders[name] = b
+	return nil, fmt.Errorf("routing: unknown policy %q (have %v)", name, Names())
 }
 
-// ByName returns the registered constructor for a policy name.
-func ByName(name string) (Builder, error) {
-	b := builders[name]
-	if b == nil {
-		return nil, fmt.Errorf("routing: unknown policy %q (have %v)", name, Names())
-	}
-	return b, nil
-}
-
-// Names lists the registered policy names, sorted.
+// Names lists the policy names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(builders))
-	for name := range builders { //simlint:sortediter -- keys are collected and sorted before any consumer sees them
-		out = append(out, name)
+	out := make([]string, 0, len(policies))
+	for _, p := range policies {
+		out = append(out, p.Name())
 	}
 	sort.Strings(out)
 	return out

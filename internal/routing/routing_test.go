@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -48,11 +49,11 @@ func TestRegistryNames(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		b, err := ByName(name)
-		if err != nil || b == nil {
+		p, err := ByName(name)
+		if err != nil || p == nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if p := b(); p.Name() != name {
+		if p.Name() != name {
 			t.Errorf("policy %q reports Name() %q", name, p.Name())
 		}
 	}
@@ -61,11 +62,23 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// TestPoliciesAreZeroSize pins the stateless contract: a network shares
+// its one policy value across all of its domains, and every network
+// shares the values in policies, which is safe only while a policy
+// carries no state.
+func TestPoliciesAreZeroSize(t *testing.T) {
+	for _, p := range policies {
+		if size := reflect.TypeOf(p).Size(); size != 0 {
+			t.Errorf("policy %q is %d bytes, want a zero-size type", p.Name(), size)
+		}
+	}
+}
+
 func TestMinimalOnlyTakesFirst(t *testing.T) {
 	topo := testTopo(t)
 	src, dst := topology.SwitchID(0), topology.SwitchID(5)
 	min := topo.MinimalPaths(src, dst, 4)
-	p := NewMinimalOnly().Choose(topo, ctxFor(topo, src, dst), min, mapLoad{}, sim.NewRNG(1))
+	p := MinimalOnly{}.Choose(topo, ctxFor(topo, src, dst), min, mapLoad{}, sim.NewRNG(1))
 	if &p[0] != &min[0][0] {
 		t.Error("MinimalOnly did not return the first minimal candidate")
 	}
@@ -81,7 +94,7 @@ func TestAdaptiveAvoidsHotMinimalHop(t *testing.T) {
 	// Load the direct hop heavily; detours should win despite the bias.
 	load := mapLoad{}
 	load.set(src, dst, 1<<20)
-	got := NewSlingshotAdaptive().Choose(topo, ctxFor(topo, src, dst), min, load, sim.NewRNG(3))
+	got := SlingshotAdaptive{}.Choose(topo, ctxFor(topo, src, dst), min, load, sim.NewRNG(3))
 	if !topo.Valid(got) {
 		t.Fatalf("invalid path %v", got)
 	}
@@ -97,7 +110,7 @@ func TestAdaptiveCopiesArenaPaths(t *testing.T) {
 	load := mapLoad{}
 	load.set(src, dst, 1<<20)
 	ctx := ctxFor(topo, src, dst)
-	got := NewSlingshotAdaptive().Choose(topo, ctx, min, load, sim.NewRNG(3))
+	got := SlingshotAdaptive{}.Choose(topo, ctx, min, load, sim.NewRNG(3))
 	snapshot := append(topology.Path(nil), got...)
 	// Overwrite the arena with fresh routing decisions; a non-copied
 	// result would be clobbered.
@@ -120,7 +133,7 @@ func TestECMPIsDeterministicAndSpreads(t *testing.T) {
 	if len(min) < 2 {
 		t.Fatalf("want several equal-cost paths, got %d", len(min))
 	}
-	ecmp := NewECMPHash()
+	ecmp := ECMPHash{}
 	seen := map[string]bool{}
 	for flow := int64(0); flow < 64; flow++ {
 		ctx := ctxFor(topo, src, dst)
@@ -149,7 +162,7 @@ func TestValiantFallsBackToMinimalWhenIdle(t *testing.T) {
 	topo := testTopo(t)
 	src, dst := topology.SwitchID(0), topology.SwitchID(5)
 	min := topo.MinimalPaths(src, dst, 4)
-	got := NewValiantUGAL().Choose(topo, ctxFor(topo, src, dst), min, mapLoad{}, sim.NewRNG(9))
+	got := ValiantUGAL{}.Choose(topo, ctxFor(topo, src, dst), min, mapLoad{}, sim.NewRNG(9))
 	// On an idle fabric the detour penalty guarantees a minimal win.
 	found := false
 	for _, m := range min {
@@ -174,7 +187,7 @@ func TestValiantDetoursUnderLoadAndCopies(t *testing.T) {
 		}
 	}
 	ctx := ctxFor(topo, src, dst)
-	got := NewValiantUGAL().Choose(topo, ctx, min, load, sim.NewRNG(9))
+	got := ValiantUGAL{}.Choose(topo, ctx, min, load, sim.NewRNG(9))
 	if !topo.Valid(got) {
 		t.Fatalf("invalid path %v", got)
 	}
@@ -208,7 +221,7 @@ func TestValiantValidOverAllPairs(t *testing.T) {
 			Dims: []int{3, 3}, NodesPerSwitch: 2,
 		}),
 	}
-	pol := NewValiantUGAL()
+	pol := ValiantUGAL{}
 	for kind, topo := range topos {
 		t.Run(kind, func(t *testing.T) {
 			var nodeSwitches []topology.SwitchID

@@ -35,22 +35,8 @@ type FatTreeConfig struct {
 	CorePerAgg int
 	// NodesPerEdge is the endpoint count per edge switch.
 	NodesPerEdge int
-	// LinkPerPair is the number of parallel cables between each connected
-	// switch pair (0 means 1).
-	LinkPerPair int
 	// Radix is the switch port count; 0 means Rosetta's 64.
 	Radix int
-}
-
-// links resolves the parallel-cable multiplicity.
-func (c FatTreeConfig) links() int { return linkMultiplicity(c.LinkPerPair) }
-
-// Levels returns 2 for the leaf–spine variant, 3 otherwise.
-func (c FatTreeConfig) Levels() int {
-	if c.CorePerAgg == 0 {
-		return 2
-	}
-	return 3
 }
 
 // Validate checks structural feasibility, including the port budget of
@@ -66,10 +52,9 @@ func (c FatTreeConfig) Validate() error {
 	if radix == 0 {
 		radix = RosettaRadix
 	}
-	lk := c.links()
-	edgePorts := c.NodesPerEdge + c.AggPerPod*lk
-	aggPorts := c.EdgePerPod*lk + c.CorePerAgg*lk
-	corePorts := c.Pods * lk
+	edgePorts := c.NodesPerEdge + c.AggPerPod
+	aggPorts := c.EdgePerPod + c.CorePerAgg
+	corePorts := c.Pods
 	if edgePorts > radix || aggPorts > radix || corePorts > radix {
 		return fmt.Errorf("topology: fat-tree needs %d edge / %d agg / %d core ports but radix is %d",
 			edgePorts, aggPorts, corePorts, radix)
@@ -100,7 +85,6 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lk := cfg.links()
 	edges := cfg.Pods * cfg.EdgePerPod
 	aggs := cfg.Pods * cfg.AggPerPod
 	cores := cfg.AggPerPod * cfg.CorePerAgg
@@ -120,9 +104,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for e := 0; e < cfg.EdgePerPod; e++ {
 			for a := 0; a < cfg.AggPerPod; a++ {
 				es, as := f.edgeSwitch(p, e), f.aggSwitch(p, a)
-				for k := 0; k < lk; k++ {
-					f.addAdj(es, as, f.addLink(LocalLink, es, as, -1))
-				}
+				f.addAdj(es, as, f.addLink(LocalLink, es, as, -1))
 			}
 		}
 	}
@@ -133,9 +115,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for a := 0; a < cfg.AggPerPod; a++ {
 			for c := 0; c < cfg.CorePerAgg; c++ {
 				as, cs := f.aggSwitch(p, a), f.coreSwitch(a, c)
-				for k := 0; k < lk; k++ {
-					f.addAdj(as, cs, f.addLink(GlobalLink, as, cs, -1))
-				}
+				f.addAdj(as, cs, f.addLink(GlobalLink, as, cs, -1))
 			}
 		}
 	}
@@ -278,16 +258,15 @@ func (f *FatTree) NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG,
 // machine — half the pods (half the leaves for a two-level tree) on each
 // side. Every cross-bisection packet climbs out of its half, so the cut
 // is the up-link capacity of the smaller half: pods/2 * AggPerPod *
-// CorePerAgg * LinkPerPair for three levels, leaves/2 * spines *
-// LinkPerPair for two.
+// CorePerAgg for three levels, leaves/2 * spines for two.
 func (f *FatTree) BisectionLinks() int {
 	cfg := &f.Cfg
 	if cfg.Pods < 2 {
 		// Single pod (the leaf–spine variant, or a degenerate one-pod
 		// three-level tree): bisect the leaves; the cut is their uplinks.
-		return cfg.EdgePerPod / 2 * cfg.AggPerPod * cfg.links()
+		return cfg.EdgePerPod / 2 * cfg.AggPerPod
 	}
-	return cfg.Pods / 2 * cfg.AggPerPod * cfg.CorePerAgg * cfg.links()
+	return cfg.Pods / 2 * cfg.AggPerPod * cfg.CorePerAgg
 }
 
 // FatTreeFor returns a fat-tree covering at least n nodes, scaling the

@@ -22,15 +22,7 @@ type HyperXConfig struct {
 	Dims []int
 	// NodesPerSwitch is the endpoint count per switch.
 	NodesPerSwitch int
-	// LinkPerPair is the number of parallel cables between each connected
-	// switch pair (0 means 1).
-	LinkPerPair int
-	// Radix is the switch port count; 0 means Rosetta's 64.
-	Radix int
 }
-
-// links resolves the parallel-cable multiplicity.
-func (c HyperXConfig) links() int { return linkMultiplicity(c.LinkPerPair) }
 
 // Validate checks structural feasibility, including the port budget.
 func (c HyperXConfig) Validate() error {
@@ -42,14 +34,10 @@ func (c HyperXConfig) Validate() error {
 		if s < 2 {
 			return fmt.Errorf("topology: HyperX dimension of size %d (want >= 2)", s)
 		}
-		ports += (s - 1) * c.links()
+		ports += s - 1
 	}
-	radix := c.Radix
-	if radix == 0 {
-		radix = RosettaRadix
-	}
-	if ports > radix {
-		return fmt.Errorf("topology: HyperX switch needs %d ports but radix is %d", ports, radix)
+	if ports > RosettaRadix {
+		return fmt.Errorf("topology: HyperX switch needs %d ports but radix is %d", ports, RosettaRadix)
 	}
 	return nil
 }
@@ -96,7 +84,6 @@ func NewHyperX(cfg HyperXConfig) (*HyperX, error) {
 
 	// Row links: for every switch, every dimension, every partner with a
 	// higher coordinate in that dimension (so each pair is wired once).
-	lk := cfg.links()
 	for s := 0; s < sw; s++ {
 		for d, size := range cfg.Dims {
 			c := (s / stride[d]) % size
@@ -106,9 +93,7 @@ func NewHyperX(cfg HyperXConfig) (*HyperX, error) {
 			}
 			for t := c + 1; t < size; t++ {
 				a, b := SwitchID(s), SwitchID(s+(t-c)*stride[d])
-				for k := 0; k < lk; k++ {
-					h.addAdj(a, b, h.addLink(kind, a, b, -1))
-				}
+				h.addAdj(a, b, h.addLink(kind, a, b, -1))
 			}
 		}
 	}
@@ -256,7 +241,7 @@ func (h *HyperX) NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, 
 
 // BisectionLinks returns the row links crossing the even ID bisection of
 // the switches. With an even highest dimension this is the textbook
-// HyperX cut: (S/2)*(S-S/2)*LinkPerPair links per highest-dimension row
+// HyperX cut: (S/2)*(S-S/2) links per highest-dimension row
 // times the number of such rows.
 func (h *HyperX) BisectionLinks() int {
 	half := SwitchID(h.sw / 2)

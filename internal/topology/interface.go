@@ -38,7 +38,6 @@ type Topology interface {
 	// SwitchNodes returns the contiguous node range attached to a switch
 	// (count is 0 for switches without endpoints, e.g. fat-tree spines).
 	SwitchNodes(SwitchID) (first NodeID, count int)
-	EdgeLinkOf(NodeID) int
 	LinksBetween(a, b SwitchID) []int
 
 	// Dense adjacency.
@@ -289,10 +288,9 @@ func (m *adjacency) Diameter() int {
 }
 
 // linkTable is the link store shared by every backend: links in
-// discovery order with the per-node edge-link index.
+// discovery order.
 type linkTable struct {
 	links []Link
-	edge  []int
 }
 
 // addLink appends one link, returning its ID (the slice index).
@@ -305,10 +303,9 @@ func (lt *linkTable) addLink(kind LinkKind, a, b SwitchID, node NodeID) int {
 // addEdgeLinks numbers the node-major edge links every backend starts
 // with: node n attaches to switch n / perSwitch.
 func (lt *linkTable) addEdgeLinks(nodes, perSwitch int) {
-	lt.edge = make([]int, nodes)
 	for n := 0; n < nodes; n++ {
 		s := SwitchID(n / perSwitch)
-		lt.edge[n] = lt.addLink(EdgeLink, s, s, NodeID(n))
+		lt.addLink(EdgeLink, s, s, NodeID(n))
 	}
 }
 
@@ -316,17 +313,6 @@ func (lt *linkTable) addEdgeLinks(nodes, perSwitch int) {
 // links first, then the backend's inter-switch wiring); a link's slice
 // index is its ID.
 func (lt *linkTable) Links() []Link { return lt.links }
-
-// EdgeLinkOf returns the link ID of node n's edge link.
-func (lt *linkTable) EdgeLinkOf(n NodeID) int { return lt.edge[n] }
-
-// linkMultiplicity resolves a config's parallel-cable count (0 means 1).
-func linkMultiplicity(lk int) int {
-	if lk <= 0 {
-		return 1
-	}
-	return lk
-}
 
 // PathArena is the path-construction scratch reused by NonMinimalPaths
 // (one adaptive routing decision per packet on the hot path): candidate

@@ -85,7 +85,6 @@ type Config struct {
 	SwitchesPerGroup int // switches in each group
 	NodesPerSwitch   int // endpoints attached to each switch
 	GlobalPerPair    int // parallel global links between every pair of groups
-	Radix            int // switch port count; 0 means Rosetta's 64
 	Shape            GroupShape
 	// GridRows is the row count for Grid2D groups (0 picks a near-square
 	// factorization). SwitchesPerGroup must be divisible by it.
@@ -103,10 +102,6 @@ func (c Config) Validate() error {
 	if c.Groups > 1 && c.GlobalPerPair < 1 {
 		return fmt.Errorf("topology: %d groups but no global links", c.Groups)
 	}
-	radix := c.Radix
-	if radix == 0 {
-		radix = RosettaRadix
-	}
 	rows, cols, err := c.gridDims()
 	if err != nil {
 		return err
@@ -120,9 +115,9 @@ func (c Config) Validate() error {
 	// the busiest switch owns ceil(globalPerGroup / SwitchesPerGroup).
 	maxGlobal := (globalPerGroup + c.SwitchesPerGroup - 1) / c.SwitchesPerGroup
 	need := c.NodesPerSwitch + local + maxGlobal
-	if need > radix {
+	if need > RosettaRadix {
 		return fmt.Errorf("topology: switch needs %d ports (%d endpoints + %d local + %d global) but radix is %d",
-			need, c.NodesPerSwitch, local, maxGlobal, radix)
+			need, c.NodesPerSwitch, local, maxGlobal, RosettaRadix)
 	}
 	return nil
 }
