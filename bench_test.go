@@ -357,6 +357,11 @@ func BenchmarkChoosePath(b *testing.B) {
 // iteration (the per-grid-cell setup cost).
 func BenchmarkTopoBuild(b *testing.B) { bench.TopoBuild(b) }
 
+// BenchmarkFabricBuild builds the 4096-endpoint Slingshot fabric per
+// iteration (switches, NICs and the port table; the topology is built
+// once outside the loop).
+func BenchmarkFabricBuild(b *testing.B) { bench.FabricBuild(b) }
+
 // BenchmarkRunCell measures one full congestion-grid cell per iteration —
 // the unit the Fig. 9-14 grids scale by.
 func BenchmarkRunCell(b *testing.B) { bench.RunCell(b) }

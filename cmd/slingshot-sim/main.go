@@ -178,11 +178,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch cfg.panel {
-	case "A", "B", "C":
-	default:
-		return fmt.Errorf("unknown panel %q (want A|B|C)", cfg.panel)
-	}
 	switch cfg.topo {
 	case "", "dragonfly", "fattree", "hyperx":
 	default:
@@ -197,9 +192,6 @@ func run(args []string) error {
 		if _, err := congestion.ByName(cfg.cc); err != nil {
 			return err
 		}
-	}
-	if _, err := fabric.ParseFidelity(cfg.fidelity); err != nil {
-		return err
 	}
 	seeds, err := parseSeeds(cfg.seeds, cfg.seed)
 	if err != nil {
@@ -232,9 +224,9 @@ func run(args []string) error {
 				CC:       cfg.cc,
 				Fidelity: cfg.fidelity,
 			}
-			res, err := e.Run(opt)
+			res, err := e.Run(opt) // its errors already name the experiment
 			if err != nil {
-				return fmt.Errorf("%s: %w", e.Name, err)
+				return err
 			}
 			if cfg.format == "json" {
 				out = append(out, res)
@@ -267,8 +259,15 @@ func victimSet(s string) (harness.VictimSet, error) {
 	return 0, fmt.Errorf("unknown victim set %q (want quick|apps|full)", s)
 }
 
+// errSeedZero rejects seed 0, which harness.Options reads as "use the
+// default" and would silently replace with 42.
+var errSeedZero = errors.New("seed 0 is reserved for the default (42); use a nonzero seed")
+
 func parseSeeds(list string, fallback uint64) ([]uint64, error) {
 	if list == "" {
+		if fallback == 0 {
+			return nil, errSeedZero
+		}
 		return []uint64{fallback}, nil
 	}
 	var out []uint64
@@ -282,7 +281,7 @@ func parseSeeds(list string, fallback uint64) ([]uint64, error) {
 			return nil, fmt.Errorf("bad seed %q in -seeds", f)
 		}
 		if s == 0 {
-			return nil, fmt.Errorf("seed 0 is reserved for the default (42); use a nonzero seed")
+			return nil, errSeedZero
 		}
 		out = append(out, s)
 	}

@@ -110,6 +110,27 @@ func TopoBuild(b *testing.B) {
 	}
 }
 
+// FabricBuild builds the fabric of e2ebench's packet-sharded workload
+// once per iteration, on the classic engine: the Slingshot profile over a
+// 4096-endpoint Dragonfly (16 groups x 16 switches x 16 nodes, two global
+// links per group pair, 12,512 egress ports). ns/op and allocs/op read as
+// the cost of fabric.New alone — the switches, NICs and port table every
+// network pays before its first packet, and the million-endpoint flow run
+// pays at scale.
+func FabricBuild(b *testing.B) {
+	topo := topology.MustNew(topology.Config{
+		Groups: 16, SwitchesPerGroup: 16, NodesPerSwitch: 16, GlobalPerPair: 2,
+	})
+	prof := fabric.SlingshotProfile()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if net := fabric.New(topo, prof, 5); net.Topo.Nodes() != 4096 {
+			b.Fatal("fabric under-built")
+		}
+	}
+}
+
 // ChoosePath measures one source-switch routing decision for the named
 // policy on a warm network (minimal-path cache populated, fabric idle):
 // ns/op and allocs/op read directly as the per-packet path-selection cost.
@@ -592,6 +613,7 @@ func Suite() []struct {
 		{"ChoosePath/ecmp", "decision", 0, 0, ChoosePath("ecmp")},
 		{"ChoosePath/valiant", "decision", 0, 0, ChoosePath("valiant")},
 		{"TopoBuild", "build(x3)", 0, 0, TopoBuild},
+		{"FabricBuild", "build", 0, 0, FabricBuild},
 		{"RunCell", "cell", 0, 0, RunCell},
 		{"MailboxExchange", "msg", 0, 0, MailboxExchange},
 		{"ParallelRun/d1", "packet", 1, packetBytes, ParallelRun(1)},

@@ -252,19 +252,16 @@ func (n *Network) initDomains(workers int) {
 		d := n.doms[part.Of[s.ID]]
 		s.dom = d
 		d.switches = append(d.switches, s)
-		for _, ports := range s.ports {
-			for _, o := range ports {
-				o.dom = d
-			}
-		}
-		for _, o := range s.edge {
-			o.dom = d
-		}
 	}
 	for _, nic := range n.nics {
-		d := n.switches[n.Topo.SwitchOf(nic.ID)].dom
-		nic.dom = d
-		nic.inj.dom = d
+		nic.dom = n.switches[n.Topo.SwitchOf(nic.ID)].dom
+	}
+	for i, l := range n.Topo.Links() {
+		// Link i's port 2i transmits from switch A, port 2i+1 from switch
+		// B — or, on an edge link (A == B), from the NIC, which shares its
+		// switch's domain.
+		n.ports[2*i].dom = n.switches[l.A].dom
+		n.ports[2*i+1].dom = n.switches[l.B].dom
 	}
 	// The remote-load snapshot: one entry per link slot.
 	n.snap = make([]int64, n.linkSlots()[len(n.switches)])
@@ -295,18 +292,12 @@ func (n *Network) initClassic() {
 	n.doms = []*domain{d}
 	for _, s := range n.switches {
 		s.dom = d
-		for _, ports := range s.ports {
-			for _, o := range ports {
-				o.dom = d
-			}
-		}
-		for _, o := range s.edge {
-			o.dom = d
-		}
 	}
 	for _, nic := range n.nics {
 		nic.dom = d
-		nic.inj.dom = d
+	}
+	for i := range n.ports {
+		n.ports[i].dom = d
 	}
 }
 

@@ -36,7 +36,11 @@ type Network struct {
 	rng      *sim.RNG
 	switches []*Switch
 	nics     []*NIC
-	msgID    int64
+	// ports is the port table: topology link l's two directions are
+	// ports 2l and 2l+1 (switch->NIC then NIC->switch for an edge link,
+	// A->B then B->A for a fabric link). Never resized after build.
+	ports []outPort
+	msgID int64
 	// wantSignals/wantECN cache the congestion algorithm's fabric-side
 	// hooks (congestion.Hooks), so the per-packet enqueue path reads two
 	// bools instead of dispatching on the controller.
@@ -187,39 +191,35 @@ func (n *Network) build() {
 		}
 	}
 
-	newSched := func() *qos.PortScheduler {
-		return qos.NewPortScheduler(n.QoS)
-	}
-	newPhy := func() (*phy.Link, *sim.RNG) {
-		var rng *sim.RNG
+	// port fills slot k of the port table. Slots fill in table order,
+	// which is the order the ports' frame-error streams split off the
+	// network's RNG.
+	n.ports = make([]outPort, 2*len(topo.Links()))
+	port := func(k int, o outPort) *outPort {
+		o.net = n
+		o.sched = qos.NewPortScheduler(n.QoS)
 		if prof.FrameBER > 0 {
-			rng = n.rng.Split()
+			o.rng = n.rng.Split()
 		}
-		return phy.NewLink(), rng
+		n.ports[k] = o
+		return &n.ports[k]
 	}
-
-	for _, l := range topo.Links() {
+	for i, l := range topo.Links() {
 		switch l.Kind {
 		case topology.EdgeLink:
 			sw := n.switches[l.A]
 			nic := n.nics[l.Node]
 			// Switch -> NIC.
-			down := &outPort{
-				net: n, sched: newSched(), bits: prof.EdgeBits,
-				prop: phy.EdgeDelay(), mode: edgeMode,
-				owner: sw, peerNIC: nic, edge: true,
-			}
-			down.phy, down.rng = newPhy()
-			sw.edge[int(l.Node)-sw.firstNode] = down
+			sw.edge[int(l.Node)-sw.firstNode] = port(2*i, outPort{
+				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
+				peerNIC: nic, edge: true,
+			})
 			// NIC -> switch (the injection port), credited against the
 			// switch's input buffer.
-			up := &outPort{
-				net: n, sched: newSched(), bits: prof.EdgeBits,
-				prop: phy.EdgeDelay(), mode: edgeMode,
+			nic.inj = port(2*i+1, outPort{
+				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
 				ownerNIC: nic, peerSw: sw, credits: prof.InputBufferBytes,
-			}
-			up.phy, up.rng = newPhy()
-			nic.inj = up
+			})
 		case topology.LocalLink, topology.GlobalLink:
 			a, b := n.switches[l.A], n.switches[l.B]
 			prop := phy.CopperDelay()
@@ -228,18 +228,14 @@ func (n *Network) build() {
 				prop = phy.OpticalDelay()
 				global = true
 			}
-			ab := &outPort{
-				net: n, sched: newSched(), bits: prof.fabricBits(),
-				prop: prop, mode: prof.FabricMode,
-				owner: a, peerSw: b, credits: prof.InputBufferBytes, global: global,
-			}
-			ab.phy, ab.rng = newPhy()
-			ba := &outPort{
-				net: n, sched: newSched(), bits: prof.fabricBits(),
-				prop: prop, mode: prof.FabricMode,
-				owner: b, peerSw: a, credits: prof.InputBufferBytes, global: global,
-			}
-			ba.phy, ba.rng = newPhy()
+			ab := port(2*i, outPort{
+				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
+				peerSw: b, credits: prof.InputBufferBytes, global: global,
+			})
+			ba := port(2*i+1, outPort{
+				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
+				peerSw: a, credits: prof.InputBufferBytes, global: global,
+			})
 			ia := topo.NeighborIndex(l.A, l.B)
 			ib := topo.NeighborIndex(l.B, l.A)
 			a.ports[ia] = append(a.ports[ia], ab)

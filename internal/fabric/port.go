@@ -18,17 +18,17 @@ func bufBytes(p *Packet) int64 {
 // injection side) towards a peer switch or NIC. It owns the egress queue
 // (a per-traffic-class DRR scheduler), the busy/serialization state, and
 // the credit count representing free space in the peer's input buffer.
+// Every port lives in its network's port table (Network.ports).
 type outPort struct {
 	net *Network
 	// dom is the owning domain: the transmitting switch's (or, for an
-	// injection port, the transmitting NIC's).
+	// injection port, the transmitting NIC's, which is its switch's).
 	dom   *domain
-	sched *qos.PortScheduler
+	sched qos.PortScheduler
 	bits  int64
 	prop  sim.Time
 	mode  ethernet.Mode
 
-	owner    *Switch // transmitting switch; nil for a NIC injection port
 	ownerNIC *NIC    // transmitting NIC; nil for switch ports
 	peerSw   *Switch // nil when the port faces a NIC
 	peerNIC  *NIC
@@ -45,7 +45,7 @@ type outPort struct {
 	// effective bandwidth. rng, set only when Profile.FrameBER > 0, draws
 	// the post-FEC frame errors that transmit makes LLR retry (or lose,
 	// triggering the NIC end-to-end retry, §II-F).
-	phy *phy.Link
+	phy phy.Link
 	rng *sim.RNG
 
 	busy    bool

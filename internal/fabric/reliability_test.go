@@ -31,6 +31,12 @@ func TestLLRRecoversAllFrames(t *testing.T) {
 	if n.FramesLost != 0 || n.E2ERetries != 0 {
 		t.Errorf("LLR mode lost frames: lost=%d e2e=%d", n.FramesLost, n.E2ERetries)
 	}
+	// No golden runs with FrameBER > 0, so the per-port frame-error
+	// streams (one RNG split per port, in port-table order) are pinned
+	// here by value.
+	if n.LLRRetries != 85 || n.Now() != 63688*sim.Nanosecond {
+		t.Errorf("lossy run drifted: LLRRetries=%d at %v, want 85 at 63688ns", n.LLRRetries, n.Now())
+	}
 }
 
 func TestEndToEndRetryWithoutLLR(t *testing.T) {
@@ -54,6 +60,11 @@ func TestEndToEndRetryWithoutLLR(t *testing.T) {
 	}
 	if n.E2ERetries < n.FramesLost {
 		t.Errorf("every lost frame needs a retry: lost=%d e2e=%d", n.FramesLost, n.E2ERetries)
+	}
+	// Pinned by value, like TestLLRRecoversAllFrames.
+	if n.LLRRetries != 0 || n.FramesLost != 82 || n.E2ERetries != 82 || n.Now() != 111671680*sim.Picosecond {
+		t.Errorf("lossy run drifted: LLRRetries=%d FramesLost=%d E2ERetries=%d at %v, want 0, 82, 82 at 111671680ps",
+			n.LLRRetries, n.FramesLost, n.E2ERetries, n.Now())
 	}
 }
 

@@ -35,9 +35,9 @@ func init() {
 // cannot run: both figures measure traffic classes, which act on switch
 // queues that fluid transfers bypass, and fig14 counts bandwidth through
 // Taps.OnPacketDelivered, which fluid transfers never fire.
-func qosCheck(name string, opt Options) error {
+func qosCheck(opt Options) error {
 	if f := opt.fidelity(); f != fabric.FidelityPacket {
-		return fmt.Errorf("harness: %s runs only at packet fidelity, got %s", name, f)
+		return fmt.Errorf("runs only at packet fidelity, got %s", f)
 	}
 	return nil
 }
@@ -80,7 +80,7 @@ func qosMinBandwidth() *qos.Config {
 // aggressor starts plus one impact-over-time series per configuration;
 // the two configurations run in parallel, each on its own network.
 func fig13(opt Options) (*results.Result, error) {
-	if err := qosCheck("fig13", opt); err != nil {
+	if err := qosCheck(opt); err != nil {
 		return nil, err
 	}
 	type run struct {
@@ -174,7 +174,7 @@ func (s *startAlltoall) OnEvent(*sim.Engine, *sim.Event) {
 // per-job bandwidth series for each configuration; the two
 // configurations run in parallel, each on its own network.
 func fig14(opt Options) (*results.Result, error) {
-	if err := qosCheck("fig14", opt); err != nil {
+	if err := qosCheck(opt); err != nil {
 		return nil, err
 	}
 	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []results.Series {

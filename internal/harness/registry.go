@@ -42,8 +42,9 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 // programming errors. The registered Run is wrapped to reject negative
 // scale and parallelism options, an unknown Options.Fidelity, Panel or
 // Victims, and a machine below MinNodes with an error, to apply the
-// experiment's defaults, and to stamp result metadata and wall time. The
-// wrapper is the only way to run an experiment.
+// experiment's defaults, and to stamp result metadata and wall time.
+// Every error it returns, the experiment's own included, starts with the
+// experiment's name. The wrapper is the only way to run an experiment.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -51,57 +52,64 @@ func Register(e Experiment) {
 	if _, dup := registry[e.Name]; dup {
 		panic(fmt.Sprintf("harness: duplicate experiment %q", e.Name))
 	}
-	run := e.Run
-	if run == nil {
+	if e.Run == nil {
 		panic(fmt.Sprintf("harness: experiment %q has no Run", e.Name))
 	}
-	name, desc := e.Name, e.Desc
-	prepare, defaults, minNodes := e.Prepare, e.DefaultOptions, e.MinNodes
+	inner := e
 	e.Run = func(opt Options) (*results.Result, error) {
-		// Checked before prepare and withDefaults, which pass negative
-		// counts through or overwrite them.
-		if opt.Nodes < 0 || opt.MinIters < 0 || opt.MaxIters < 0 || opt.PPN < 0 {
-			return nil, fmt.Errorf("%s: negative scale option (Nodes %d, MinIters %d, MaxIters %d, PPN %d)",
-				name, opt.Nodes, opt.MinIters, opt.MaxIters, opt.PPN)
-		}
-		if opt.Jobs < 0 || opt.Domains < 0 {
-			return nil, fmt.Errorf("%s: negative parallelism option (Jobs %d, Domains %d)",
-				name, opt.Jobs, opt.Domains)
-		}
-		if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		switch opt.Panel {
-		case "", "A", "B", "C":
-		default:
-			return nil, fmt.Errorf("%s: unknown panel %q (want A|B|C)", name, opt.Panel)
-		}
-		if opt.Victims < VictimsQuick || opt.Victims > VictimsFull {
-			return nil, fmt.Errorf("%s: unknown victim set %d", name, opt.Victims)
-		}
-		if prepare != nil {
-			opt = prepare(opt)
-		}
-		opt = opt.withDefaults(defaults)
-		if opt.Nodes < minNodes {
-			return nil, fmt.Errorf("%s: needs at least %d nodes, got %d", name, minNodes, opt.Nodes)
-		}
-		start := wallClock.Now()
-		res, err := run(opt)
+		res, err := inner.run(opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", inner.Name, err)
 		}
-		res.Meta.Experiment = name
-		if res.Meta.Desc == "" {
-			res.Meta.Desc = desc
-		}
-		res.Meta.Seed = opt.Seed
-		res.Meta.Nodes = opt.Nodes
-		res.Meta.PPN = opt.PPN
-		res.Meta.Wall = wallClock.Now().Sub(start)
 		return res, nil
 	}
 	registry[e.Name] = &e
+}
+
+// run validates and defaults opt, runs the experiment's own Run and
+// stamps the result's metadata.
+func (e *Experiment) run(opt Options) (*results.Result, error) {
+	// Checked before Prepare and withDefaults, which pass negative counts
+	// through or overwrite them.
+	if opt.Nodes < 0 || opt.MinIters < 0 || opt.MaxIters < 0 || opt.PPN < 0 {
+		return nil, fmt.Errorf("negative scale option (Nodes %d, MinIters %d, MaxIters %d, PPN %d)",
+			opt.Nodes, opt.MinIters, opt.MaxIters, opt.PPN)
+	}
+	if opt.Jobs < 0 || opt.Domains < 0 {
+		return nil, fmt.Errorf("negative parallelism option (Jobs %d, Domains %d)", opt.Jobs, opt.Domains)
+	}
+	if _, err := fabric.ParseFidelity(opt.Fidelity); err != nil {
+		return nil, err
+	}
+	switch opt.Panel {
+	case "", "A", "B", "C":
+	default:
+		return nil, fmt.Errorf("unknown panel %q (want A|B|C)", opt.Panel)
+	}
+	if opt.Victims < VictimsQuick || opt.Victims > VictimsFull {
+		return nil, fmt.Errorf("unknown victim set %d", opt.Victims)
+	}
+	if e.Prepare != nil {
+		opt = e.Prepare(opt)
+	}
+	opt = opt.withDefaults(e.DefaultOptions)
+	if opt.Nodes < e.MinNodes {
+		return nil, fmt.Errorf("needs at least %d nodes, got %d", e.MinNodes, opt.Nodes)
+	}
+	start := wallClock.Now()
+	res, err := e.Run(opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Meta.Experiment = e.Name
+	if res.Meta.Desc == "" {
+		res.Meta.Desc = e.Desc
+	}
+	res.Meta.Seed = opt.Seed
+	res.Meta.Nodes = opt.Nodes
+	res.Meta.PPN = opt.PPN
+	res.Meta.Wall = wallClock.Now().Sub(start)
+	return res, nil
 }
 
 // Lookup returns the named experiment, or nil when unknown.

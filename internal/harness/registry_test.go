@@ -244,8 +244,12 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.exp+"/"+c.name, func(t *testing.T) {
-			if res, err := Lookup(c.exp).Run(c.opt); err == nil {
+			res, err := Lookup(c.exp).Run(c.opt)
+			if err == nil {
 				t.Fatalf("Run(%+v) = %v, nil; want an error", c.opt, res)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, c.exp+": ") || strings.Count(msg, c.exp) != 1 {
+				t.Errorf("error %q should start with %q and name the experiment once", msg, c.exp+": ")
 			}
 		})
 	}

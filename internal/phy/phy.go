@@ -53,32 +53,27 @@ const LLRDelay = 300 * sim.Nanosecond
 
 // Link is the lane state of one physical link direction. It carries no
 // queueing and no loss — the fabric's egress port owns both and draws
-// frame errors itself — only the lane count that sets the usable
-// bandwidth.
+// frame errors itself — only the lanes lost to degrade, which set the
+// usable bandwidth. The zero value is a healthy 4-lane link.
 type Link struct {
-	Lanes int // active lanes (lane degrade reduces this)
-}
-
-// NewLink returns a healthy 4-lane link.
-func NewLink() *Link {
-	return &Link{Lanes: LanesPerPort}
+	lost int // lanes removed by lane degrade, 0..LanesPerPort
 }
 
 // Bandwidth returns the current usable bandwidth in bits/s, accounting for
 // degraded lanes.
 func (l *Link) Bandwidth() int64 {
-	return int64(l.Lanes) * LaneDataBits
+	return int64(LanesPerPort-l.lost) * LaneDataBits
 }
 
 // DegradeLane removes one lane (the §II-F "lanes degrade" mechanism that
 // tolerates hard lane failures by running the port at reduced width).
 // It reports whether the link is still usable.
 func (l *Link) DegradeLane() bool {
-	if l.Lanes > 0 {
-		l.Lanes--
+	if l.lost < LanesPerPort {
+		l.lost++
 	}
-	return l.Lanes > 0
+	return l.lost < LanesPerPort
 }
 
 // RestoreLanes returns the link to full width (cable replaced).
-func (l *Link) RestoreLanes() { l.Lanes = LanesPerPort }
+func (l *Link) RestoreLanes() { l.lost = 0 }

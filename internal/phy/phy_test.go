@@ -32,7 +32,7 @@ func TestPropagationDelays(t *testing.T) {
 }
 
 func TestLaneDegrade(t *testing.T) {
-	l := NewLink()
+	var l Link
 	full := l.Bandwidth()
 	if full != 200e9 {
 		t.Fatalf("full bandwidth = %d", full)

@@ -57,45 +57,42 @@ type entry struct {
 	wire int
 }
 
+// classQ is one traffic class's state on an egress port: its FIFO, the
+// DRR deficit, and the per-Dequeue round state (whether the class has
+// bytes queued and its effective share of the link this round).
+type classQ struct {
+	queue   []entry
+	head    int // index of first live entry in queue (amortized pop)
+	bytes   int64
+	deficit int64
+	active  bool
+	share   float64
+}
+
 // PortScheduler arbitrates one egress port across traffic classes.
 // It is DRR with per-round quanta proportional to each class's effective
 // share, and strict priority between priority levels.
 type PortScheduler struct {
 	cfg     *Config
-	queues  [][]entry
-	head    []int // index of first live entry in queues[c] (amortized pop)
-	qbytes  []int64
-	deficit []int64
-	rr      int // round-robin cursor
+	classes []classQ // index-aligned with cfg.Classes
+	rr      int      // round-robin cursor
 	totalQ  int64
 	count   int
-	// Per-Dequeue scratch (the scheduler is single-threaded per network;
-	// reusing these keeps the per-packet path allocation-free).
-	activeBuf []bool
-	shareBuf  []float64
 }
 
 // quantumBase is the DRR base quantum (one max-size frame).
 const quantumBase = 4200
 
 // NewPortScheduler returns a scheduler for one egress port.
-func NewPortScheduler(cfg *Config) *PortScheduler {
-	n := len(cfg.Classes)
-	return &PortScheduler{
-		cfg:       cfg,
-		queues:    make([][]entry, n),
-		head:      make([]int, n),
-		qbytes:    make([]int64, n),
-		deficit:   make([]int64, n),
-		activeBuf: make([]bool, n),
-		shareBuf:  make([]float64, n),
-	}
+func NewPortScheduler(cfg *Config) PortScheduler {
+	return PortScheduler{cfg: cfg, classes: make([]classQ, len(cfg.Classes))}
 }
 
 // Enqueue appends a packet of the given wire size to a class queue.
 func (s *PortScheduler) Enqueue(class, wire int, v any) {
-	s.queues[class] = append(s.queues[class], entry{v: v, wire: wire})
-	s.qbytes[class] += int64(wire)
+	c := &s.classes[class]
+	c.queue = append(c.queue, entry{v: v, wire: wire})
+	c.bytes += int64(wire)
 	s.totalQ += int64(wire)
 	s.count++
 }
@@ -108,39 +105,38 @@ func (s *PortScheduler) Len() int { return s.count }
 // of the request queues of each output port", §II-C).
 func (s *PortScheduler) TotalQueuedBytes() int64 { return s.totalQ }
 
-// effectiveShare computes each class's share of the link for this round:
-// its MinShare, plus — for the active class with the smallest share — all
+// effectiveShare sets each class's share of the link for this round: its
+// MinShare, plus — for the active class with the smallest share — all
 // bandwidth not guaranteed to anyone (§II-E / Fig. 14). Classes with no
 // guarantee get a small epsilon so they are never starved.
-func (s *PortScheduler) effectiveShare(active []bool) []float64 {
-	share := s.shareBuf
+func (s *PortScheduler) effectiveShare() {
+	cs := s.classes
 	var allocated float64
 	for i, cl := range s.cfg.Classes {
-		share[i] = cl.MinShare
+		cs[i].share = cl.MinShare
 		allocated += cl.MinShare
 	}
 	spare := 1 - allocated
 	if spare > 0 {
 		// Donate the spare to the active class with the lowest share.
 		lowest := -1
-		for i := range share {
-			if !active[i] {
+		for i := range cs {
+			if !cs[i].active {
 				continue
 			}
-			if lowest < 0 || share[i] < share[lowest] {
+			if lowest < 0 || cs[i].share < cs[lowest].share {
 				lowest = i
 			}
 		}
 		if lowest >= 0 {
-			share[lowest] += spare
+			cs[lowest].share += spare
 		}
 	}
-	for i := range share {
-		if active[i] && share[i] < 0.01 {
-			share[i] = 0.01
+	for i := range cs {
+		if cs[i].active && cs[i].share < 0.01 {
+			cs[i].share = 0.01
 		}
 	}
-	return share
 }
 
 // Dequeue picks the next packet to transmit, honoring strict priority and
@@ -153,29 +149,28 @@ func (s *PortScheduler) Dequeue(maxWire int) (v any, wire int, class int, ok boo
 	if s.count == 0 {
 		return nil, 0, 0, false
 	}
-	active := s.activeBuf
-	for i := range active {
-		active[i] = s.qbytes[i] > 0
+	for i := range s.classes {
+		s.classes[i].active = s.classes[i].bytes > 0
 	}
-	share := s.effectiveShare(active)
+	s.effectiveShare()
 
 	// Strict priority: consider priority levels from highest down.
 	bestPrio := minIntQ
 	for i, cl := range s.cfg.Classes {
-		if active[i] && cl.Priority > bestPrio {
+		if s.classes[i].active && cl.Priority > bestPrio {
 			bestPrio = cl.Priority
 		}
 	}
 	for prio := bestPrio; ; {
 		// DRR pass over active classes at this priority.
-		served := s.drrPass(prio, share, active, maxWire)
+		served := s.drrPass(prio, maxWire)
 		if served.ok {
 			return served.v, served.wire, served.class, true
 		}
 		// Move to the next lower priority that has active classes.
 		next := minIntQ
 		for i, cl := range s.cfg.Classes {
-			if active[i] && cl.Priority < prio && cl.Priority > next {
+			if s.classes[i].active && cl.Priority < prio && cl.Priority > next {
 				next = cl.Priority
 			}
 		}
@@ -198,8 +193,9 @@ type dequeued struct {
 
 // drrPass attempts one deficit-round-robin selection among the active
 // classes at the given priority level.
-func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWire int) dequeued {
-	n := len(s.cfg.Classes)
+func (s *PortScheduler) drrPass(prio int, maxWire int) dequeued {
+	cs := s.classes
+	n := len(cs)
 	// Sweep the active classes, topping up deficits by one quantum between
 	// sweeps, until something is served or nothing can be (credit-bound).
 	// Each top-up adds at least 64 bytes of deficit to every active class,
@@ -209,18 +205,19 @@ func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWir
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		for k := 0; k < n; k++ {
 			c := (s.rr + k) % n
-			if !active[c] || s.cfg.Classes[c].Priority != prio {
+			q := &cs[c]
+			if !q.active || s.cfg.Classes[c].Priority != prio {
 				continue
 			}
-			e := s.queues[c][s.head[c]]
+			e := q.queue[q.head]
 			if e.wire > maxWire {
 				continue // credit-bound; port will retry on credit arrival
 			}
-			if s.deficit[c] < int64(e.wire) {
+			if q.deficit < int64(e.wire) {
 				continue
 			}
 			// Serve.
-			s.deficit[c] -= int64(e.wire)
+			q.deficit -= int64(e.wire)
 			s.popHead(c)
 			s.rr = (c + 1) % n
 			return dequeued{v: e.v, wire: e.wire, class: c, ok: true}
@@ -228,11 +225,12 @@ func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWir
 		// Nothing served this sweep: check whether any class could still be
 		// served after more top-ups (active, right priority, head fits).
 		anyViable := false
-		for c := 0; c < n; c++ {
-			if !active[c] || s.cfg.Classes[c].Priority != prio {
+		for c := range cs {
+			q := &cs[c]
+			if !q.active || s.cfg.Classes[c].Priority != prio {
 				continue
 			}
-			if s.queues[c][s.head[c]].wire <= maxWire {
+			if q.queue[q.head].wire <= maxWire {
 				anyViable = true
 				break
 			}
@@ -240,17 +238,18 @@ func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWir
 		if !anyViable {
 			break
 		}
-		for c := 0; c < n; c++ {
-			if active[c] && s.cfg.Classes[c].Priority == prio {
-				q := int64(share[c] * quantumBase * 2)
-				if q < 64 {
-					q = 64
+		for c := range cs {
+			q := &cs[c]
+			if q.active && s.cfg.Classes[c].Priority == prio {
+				quantum := int64(q.share * quantumBase * 2)
+				if quantum < 64 {
+					quantum = 64
 				}
-				s.deficit[c] += q
+				q.deficit += quantum
 				// Bound accumulated deficit so an idle class cannot
 				// hoard an unbounded burst allowance.
-				if s.deficit[c] > 16*quantumBase {
-					s.deficit[c] = 16 * quantumBase
+				if q.deficit > 16*quantumBase {
+					q.deficit = 16 * quantumBase
 				}
 			}
 		}
@@ -259,15 +258,16 @@ func (s *PortScheduler) drrPass(prio int, share []float64, active []bool, maxWir
 }
 
 func (s *PortScheduler) popHead(c int) {
-	e := s.queues[c][s.head[c]]
-	s.queues[c][s.head[c]] = entry{}
-	s.head[c]++
-	s.qbytes[c] -= int64(e.wire)
+	q := &s.classes[c]
+	e := q.queue[q.head]
+	q.queue[q.head] = entry{}
+	q.head++
+	q.bytes -= int64(e.wire)
 	s.totalQ -= int64(e.wire)
 	s.count--
 	// Compact the queue once the dead prefix dominates.
-	if s.head[c] > 64 && s.head[c]*2 >= len(s.queues[c]) {
-		s.queues[c] = append(s.queues[c][:0], s.queues[c][s.head[c]:]...)
-		s.head[c] = 0
+	if q.head > 64 && q.head*2 >= len(q.queue) {
+		q.queue = append(q.queue[:0], q.queue[q.head:]...)
+		q.head = 0
 	}
 }
