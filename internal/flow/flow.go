@@ -158,6 +158,8 @@ type Engine struct {
 	forceFull bool  // always re-solve from scratch (bench/test reference)
 	solved    bool  // a full solve has run; incremental patching is valid
 	solves    int64 // solver invocations (regression tests pin this)
+	visits    int64 // flows visited by Advance's and NextWake's O(active) passes
+	drained   bool  // Start admitted a flow with nothing left to send
 
 	// Solver scratch, stamped per solve.
 	stamp    int32
@@ -317,6 +319,9 @@ func (e *Engine) Start(src, dst topology.NodeID, bytes int64, opt FlowOpts) int6
 	f := e.alloc()
 	f.src, f.dst = src, dst
 	f.remaining = float64(bytes + opt.ExtraBytes)
+	if f.remaining <= completionEps {
+		e.drained = true
+	}
 	f.rate = 0
 	f.extraLat = opt.ExtraLatency
 	f.ackLat = opt.AckLatency

@@ -241,6 +241,7 @@ func (e *Engine) NextWake() sim.Time {
 		return e.now
 	}
 	next := sim.Forever
+	e.visits += int64(len(e.active))
 	for _, f := range e.active {
 		if t := e.completionTime(f); t < next {
 			next = t
@@ -263,6 +264,13 @@ func (e *Engine) NextWake() sim.Time {
 // event time instead of smearing back to the last tick. On a quiet call
 // with nothing due the early-out returns without scanning or solving.
 //
+// Cost rule: the O(active) passes — projecting the next completion,
+// integrating progress and retiring drained flows — run only on a lap
+// that moves the fluid clock (the retire pass also after Start admitted
+// an already-drained flow). An Advance to the present therefore costs
+// only the pending solve and the callbacks that are due, however many
+// flows stand.
+//
 //simlint:hotpath
 func (e *Engine) Advance(to sim.Time) {
 	if !e.dirty && to <= e.now && (len(e.cbs) == 0 || e.cbs[0].at > e.now) {
@@ -272,47 +280,55 @@ func (e *Engine) Advance(to sim.Time) {
 		if e.dirty {
 			e.solve()
 		}
-		// Next rate-change boundary: the earliest projected completion.
-		step := to
-		for _, f := range e.active {
-			if t := e.completionTime(f); t < step {
-				step = t
-			}
-		}
-		if len(e.cbs) > 0 && e.cbs[0].at < step {
-			step = e.cbs[0].at
-		}
-		if step > e.now {
-			dt := float64(step-e.now) / 8e12 // ps -> bytes/bit-rate factor
+		// A flow drains only by progress (retired on the lap that moved
+		// the clock) or by starting empty (flagged by Start), so every
+		// other lap would scan the active set for nothing.
+		retire := e.drained
+		if to > e.now {
+			// Next rate-change boundary: the earliest projected completion.
+			step := to
+			e.visits += int64(len(e.active))
 			for _, f := range e.active {
-				d := f.rate * dt
-				if d > f.remaining {
-					d = f.remaining
+				if t := e.completionTime(f); t < step {
+					step = t
 				}
-				f.remaining -= d
-				e.progressed += d
 			}
-			e.now = step
-		}
-		// The target reached: fold in the pending set change at its event
-		// time (completion-triggered dirt re-solves on the next lap).
-		if e.dirty && e.now >= to {
-			e.solve()
-		}
-		// Retire drained flows (scan backwards so swap-removal keeps
-		// unvisited entries stable).
-		for i := len(e.active) - 1; i >= 0; i-- {
-			f := e.active[i]
-			if f.remaining > completionEps {
-				continue
+			if len(e.cbs) > 0 && e.cbs[0].at < step {
+				step = e.cbs[0].at
 			}
-			// Credit the sub-epsilon residue so delivered-byte accounting
-			// sums exactly to the payload.
-			e.progressed += f.remaining
-			f.remaining = 0
-			e.pushCB(pendingCB{at: e.now + f.extraLat, seq: e.seq(), arg: f.arg})
-			e.pushCB(pendingCB{at: e.now + f.extraLat + f.ackLat, seq: e.seq(), ack: true, arg: f.arg})
-			e.remove(i)
+			if step > e.now {
+				dt := float64(step-e.now) / 8e12 // ps -> bytes/bit-rate factor
+				e.visits += int64(len(e.active))
+				for _, f := range e.active {
+					d := f.rate * dt
+					if d > f.remaining {
+						d = f.remaining
+					}
+					f.remaining -= d
+					e.progressed += d
+				}
+				e.now = step
+				retire = true
+			}
+		}
+		if retire {
+			e.drained = false
+			// Retire drained flows (scan backwards so swap-removal keeps
+			// unvisited entries stable).
+			e.visits += int64(len(e.active))
+			for i := len(e.active) - 1; i >= 0; i-- {
+				f := e.active[i]
+				if f.remaining > completionEps {
+					continue
+				}
+				// Credit the sub-epsilon residue so delivered-byte accounting
+				// sums exactly to the payload.
+				e.progressed += f.remaining
+				f.remaining = 0
+				e.pushCB(pendingCB{at: e.now + f.extraLat, seq: e.seq(), arg: f.arg})
+				e.pushCB(pendingCB{at: e.now + f.extraLat + f.ackLat, seq: e.seq(), ack: true, arg: f.arg})
+				e.remove(i)
+			}
 		}
 		// Fire due callbacks.
 		for len(e.cbs) > 0 && e.cbs[0].at <= e.now {

@@ -10,7 +10,9 @@ import (
 
 // TestShardedFluidDeterminism extends the sharded-determinism rule to the
 // fluid fidelities: experiment JSON must stay byte-identical across worker
-// budgets 1, 2, 4 and 8 at both flow and hybrid fidelity. Fluid flows run
+// budgets 1, 2, 4 and 8 at both flow and hybrid fidelity, and the
+// Domains=1 render must match its golden file (golden_<exp>-<fidelity>.json),
+// which pins the fluid engine's output byte for byte. Fluid flows run
 // on the control-side engine, which advances only between epochs; in
 // hybrid mode the packet shards run in parallel beside it and read the
 // background load it publishes at the barriers. (Sharded output is not
@@ -58,6 +60,7 @@ func TestShardedFluidDeterminism(t *testing.T) {
 				o.Fidelity = fid
 				o.Domains = 1
 				want := render(c.name, o)
+				checkGolden(t, c.name+"-"+fid, want)
 				for _, d := range []int{2, 4, 8} {
 					od := c.opt
 					od.Fidelity = fid

@@ -15,9 +15,11 @@ import (
 // experiments at a fixed seed. They are the acceptance gate for hot-path
 // work: any refactor of the engine, fabric, topology, or scheduler must
 // reproduce these files byte for byte (wall time excepted — it is zeroed
-// before encoding). Regenerate deliberately with:
+// before encoding). TestShardedFluidDeterminism pins four more files,
+// fig6 and fig8 at flow and at hybrid fidelity. Regenerate all twelve
+// deliberately with:
 //
-//	go test ./internal/harness -run TestGoldenRunJSON -update-golden
+//	go test ./internal/harness -run 'TestGoldenRunJSON|TestShardedFluidDeterminism' -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden run files")
 
 // goldenCases cover the simulator's behavioural surface cheaply: switch
@@ -67,26 +69,33 @@ func TestGoldenRunJSON(t *testing.T) {
 			if err := enc.Encode(&buf, res); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", c.name))
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-golden): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s output diverged from golden %s (%d vs %d bytes).\n"+
-					"If the change is intentional, regenerate with -update-golden.\n%s",
-					c.name, path, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-			}
+			checkGolden(t, c.name, buf.Bytes())
 		})
+	}
+}
+
+// checkGolden compares got with testdata/golden_<name>.json, or rewrites
+// that file under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", name))
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s output diverged from golden %s (%d vs %d bytes).\n"+
+			"If the change is intentional, regenerate with -update-golden.\n%s",
+			name, path, len(got), len(want), firstDiff(got, want))
 	}
 }
 
