@@ -302,82 +302,28 @@ func BenchmarkAblationEthernetMode(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketHotPath measures the per-packet cost of the fabric's hot
-// path (injection, routing, forwarding, scheduling, acks); ns/op and
-// allocs/op are per delivered data packet. The body lives in
-// internal/bench so cmd/benchreport can emit the same measurement into
-// the tracked BENCH_hotpath.json baseline.
-func BenchmarkPacketHotPath(b *testing.B) { bench.PacketHotPath(b) }
-
-// BenchmarkPacketHotPathFatTree is the same hot path on the fat-tree
-// backend — interface dispatch must stay alloc-free on every topology.
-func BenchmarkPacketHotPathFatTree(b *testing.B) { bench.PacketHotPathFatTree(b) }
-
-// BenchmarkFlowEngine streams 8 MiB bulk flows through the flow-level
-// fluid engine; ns/op over 8 MiB is the fluid path's ns per simulated
-// byte (the hybrid-fidelity speedup claim is this against PacketHotPath).
-func BenchmarkFlowEngine(b *testing.B) { bench.FlowEngine(b) }
-
-// BenchmarkSolverIncremental measures one flow-churn event (one arrival
-// fold plus one completion fold) against 10k standing flows, with the
-// incremental dirty-component re-solve and with full progressive filling
-// forced — the ratio is the incremental solver's speedup claim (>= 5x).
-func BenchmarkSolverIncremental(b *testing.B) {
-	b.Run("incremental", bench.SolverIncremental(false))
-	b.Run("full", bench.SolverIncremental(true))
-}
-
-// BenchmarkFlowSharded streams bulk fluid flows over the domain-sharded
-// fabric (all on the control-side engine, between epochs) at worker
-// budgets 1 and 4; results are identical, only wall-clock differs.
-func BenchmarkFlowSharded(b *testing.B) {
-	b.Run("d1", bench.FlowSharded(1))
-	b.Run("d4", bench.FlowSharded(4))
-}
-
-// BenchmarkFlowScale1M runs bisection flows over a 1,048,576-endpoint
-// Dragonfly at flow fidelity — the million-endpoint scale row. The
-// fabric builds once and is cached across b.N ramps (~10 s, ~3 GiB).
-func BenchmarkFlowScale1M(b *testing.B) { bench.FlowScale1M(b) }
-
-// BenchmarkHybridRun measures the packet-level victim path with fluid
-// bulk aggressors saturating the same hybrid-fidelity fabric.
-func BenchmarkHybridRun(b *testing.B) { bench.HybridRun(b) }
-
-// BenchmarkChoosePath measures one source-switch routing decision per
-// policy on a warm network; the adaptive (default) policy must stay at
-// 0 allocs/decision on the cached-minimal path.
-func BenchmarkChoosePath(b *testing.B) {
-	for _, policy := range []string{"minimal", "adaptive", "ecmp", "valiant"} {
-		b.Run(policy, bench.ChoosePath(policy))
+// BenchmarkSuite runs every hot-path row of internal/bench — the rows
+// cmd/benchreport writes to the tracked BENCH_hotpath.json — as a
+// sub-benchmark named after the row, so ns/op and allocs/op are per unit
+// of that row (a delivered packet or flow, a routing decision, a build).
+// Each sub-benchmark builds its row's fixture and runs the row's warm-up
+// once; b.N's ramp re-runs only the unit loop. FlowScale1M builds a
+// 1,048,576-endpoint fabric (~4 s, ~1.7 GiB heap); select rows by name
+// to leave it out.
+func BenchmarkSuite(b *testing.B) {
+	for _, r := range bench.Suite() {
+		var run func(n int)
+		b.Run(r.Name, func(b *testing.B) {
+			if run == nil {
+				run = r.Fixture()
+				run(r.Warm)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
 	}
 }
-
-// BenchmarkTopoBuild constructs all three topology backends per
-// iteration (the per-grid-cell setup cost).
-func BenchmarkTopoBuild(b *testing.B) { bench.TopoBuild(b) }
-
-// BenchmarkFabricBuild builds the 4096-endpoint Slingshot fabric per
-// iteration (switches, NICs and the port table; the topology is built
-// once outside the loop).
-func BenchmarkFabricBuild(b *testing.B) { bench.FabricBuild(b) }
-
-// BenchmarkRunCell measures one full congestion-grid cell per iteration —
-// the unit the Fig. 9-14 grids scale by.
-func BenchmarkRunCell(b *testing.B) { bench.RunCell(b) }
-
-// BenchmarkParallelRun streams cross-group traffic over a 4096-endpoint
-// Dragonfly on the domain-sharded engine at worker budgets 1/2/4/8; the
-// decomposition is fixed, so the budgets differ only in wall-clock time.
-func BenchmarkParallelRun(b *testing.B) {
-	for _, d := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("d%d", d), bench.ParallelRun(d))
-	}
-}
-
-// BenchmarkMailboxExchange measures the raw cross-shard mailbox path
-// (post, canonical merge, re-schedule) — 0 allocs/msg in steady state.
-func BenchmarkMailboxExchange(b *testing.B) { bench.MailboxExchange(b) }
 
 // engineTicker drives BenchmarkEngineThroughput through the closure-free
 // Handler interface — the same dispatch path the fabric uses.

@@ -1,6 +1,6 @@
 // Command benchreport runs the hot-path benchmark suite (internal/bench)
-// via testing.Benchmark and writes the measurements as a structured
-// results JSON file — the repo's tracked perf baseline:
+// and writes the measurements as a structured results JSON file — the
+// repo's tracked perf baseline:
 //
 //	go run ./cmd/benchreport                      # writes BENCH_hotpath.json
 //	go run ./cmd/benchreport -out - -format table # print to stdout
@@ -9,13 +9,16 @@
 //	# and exits non-zero when ns/unit regresses past -max-regress.
 //	go run ./cmd/benchreport -baseline BENCH_hotpath.json -out BENCH_new.json
 //
-// Each row reports ns, allocations and bytes per unit (packet / cell) and
-// the sharded-engine domain budget where one applies (0 = classic engine),
-// and the meta block stamps the git revision, Go toolchain, and whether
-// the simlint source-level invariant gate held (simlint_clean), so
-// successive baselines are directly comparable and attributable. CI runs
-// the compare mode against the committed baseline on every push, failing
-// the build on a regression instead of silently uploading an artifact.
+// Each row is measured once: benchreport builds the row's fixture, runs
+// its warm-up units, then times its fixed unit count between two
+// runtime.ReadMemStats calls. Each row reports ns, allocations and bytes
+// per unit (packet / flow / cell) and the sharded-engine domain budget
+// where one applies (0 = classic engine), and the meta block stamps the
+// git revision, Go toolchain, and whether the simlint source-level
+// invariant gate held (simlint_clean), so successive baselines are
+// directly comparable and attributable. CI runs the compare mode against
+// the committed baseline on every push, failing the build on a
+// regression instead of silently uploading an artifact.
 package main
 
 import (
@@ -28,7 +31,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"testing"
 	"time"
 
 	"repro/internal/bench"
@@ -63,27 +65,26 @@ func main() {
 	res.Meta.Rev = gitRev()
 	res.Meta.GoVersion = runtime.Version()
 	res.Meta.SimlintClean, res.Meta.SpineFuncs = simlintClean(os.Stderr)
-	t := res.AddTable("benchmarks", "benchmark", "unit", "domains", "iters", "ns/unit", "allocs/unit", "B/unit", "ns/sim-byte")
+	t := res.AddTable("benchmarks", "benchmark", "unit", "domains", "units", "ns/unit", "allocs/unit", "B/unit", "ns/sim-byte")
 	start := time.Now()
-	for _, bm := range bench.Suite() {
-		fmt.Fprintf(os.Stderr, "benchreport: running %s...\n", bm.Name)
-		r := testing.Benchmark(bm.Fn)
-		nsPerUnit := float64(r.T.Nanoseconds()) / float64(r.N)
-		// ns/sim-byte normalizes byte-moving benchmarks by the payload one
-		// unit simulates, making fidelities directly comparable (the flow
+	for _, r := range bench.Suite() {
+		fmt.Fprintf(os.Stderr, "benchreport: running %s...\n", r.Name)
+		ns, allocs, bytes := measure(r)
+		// ns/sim-byte normalizes byte-moving rows by the payload one unit
+		// simulates, making fidelities directly comparable (the flow
 		// engine's raison d'être is this column vs PacketHotPath's).
 		nsPerByte := results.NA()
-		if bm.SimBytes > 0 {
-			nsPerByte = results.Float(nsPerUnit/float64(bm.SimBytes), 5)
+		if r.SimBytes > 0 {
+			nsPerByte = results.Float(ns/float64(r.SimBytes), 5)
 		}
 		t.Row(
-			results.String(bm.Name),
-			results.String(bm.Unit),
-			results.Int(int64(bm.Domains)),
-			results.Int(int64(r.N)),
-			results.Float(nsPerUnit, 1),
-			results.Float(float64(r.MemAllocs)/float64(r.N), 2),
-			results.Float(float64(r.MemBytes)/float64(r.N), 1),
+			results.String(r.Name),
+			results.String(r.Unit),
+			results.Int(int64(r.Domains)),
+			results.Int(int64(r.Units)),
+			results.Float(ns, 1),
+			results.Float(allocs, 2),
+			results.Float(bytes, 1),
 			nsPerByte,
 		)
 	}
@@ -119,6 +120,26 @@ func main() {
 	}
 }
 
+// measure builds r's fixture, runs its warm-up, and returns the wall
+// nanoseconds, heap allocations and heap bytes per unit of one run of
+// r.Units units. The unit count is fixed, so a row's allocations per unit
+// do not depend on the host's speed.
+func measure(r bench.Row) (ns, allocs, bytes float64) {
+	run := r.Fixture()
+	run(r.Warm)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	run(r.Units)
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	n := float64(r.Units)
+	return float64(wall.Nanoseconds()) / n,
+		float64(after.Mallocs-before.Mallocs) / n,
+		float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
 // compare prints per-benchmark ns/unit and allocs/unit deltas of the
 // fresh run against a stored baseline and reports whether any gated
 // metric regressed by more than maxRegress. Benchmarks present on only
@@ -135,7 +156,10 @@ func compare(w io.Writer, path string, fresh *results.Result, maxRegress float64
 		return false, fmt.Errorf("baseline %s: %w", path, err)
 	}
 
-	baseRows := benchRows(base)
+	baseRows := map[string]benchRow{}
+	for _, row := range benchRows(base) {
+		baseRows[row.name] = row
+	}
 	rev := base.Meta.Rev
 	if rev == "" {
 		rev = "unknown rev"
@@ -146,17 +170,17 @@ func compare(w io.Writer, path string, fresh *results.Result, maxRegress float64
 		name := row.name
 		old, ok := baseRows[name]
 		if !ok {
-			fmt.Fprintf(w, "  %-16s new benchmark (no baseline entry)\n", name)
+			fmt.Fprintf(w, "  %-29s new benchmark (no baseline entry)\n", name)
 			continue
 		}
 		delete(baseRows, name)
 		dns := delta(old.ns, row.ns)
 		dallocs := delta(old.allocs, row.allocs)
-		fmt.Fprintf(w, "  %-16s ns/unit %11.1f -> %11.1f (%+6.1f%%)  allocs/unit %9.1f -> %9.1f (%+6.1f%%)\n",
+		fmt.Fprintf(w, "  %-29s ns/unit %11.1f -> %11.1f (%+6.1f%%)  allocs/unit %9.3f -> %9.3f (%+6.1f%%)\n",
 			name, old.ns, row.ns, 100*dns, old.allocs, row.allocs, 100*dallocs)
 		check := func(metric string, d float64) {
 			if d > maxRegress {
-				fmt.Fprintf(w, "  %-16s REGRESSION: %s +%.1f%% exceeds the %.0f%% threshold\n",
+				fmt.Fprintf(w, "  %-29s REGRESSION: %s +%.1f%% exceeds the %.0f%% threshold\n",
 					name, metric, 100*d, 100*maxRegress)
 				regressed = true
 			}
@@ -168,8 +192,10 @@ func compare(w io.Writer, path string, fresh *results.Result, maxRegress float64
 			check("allocs/unit", dallocs)
 		}
 	}
-	for name := range baseRows {
-		fmt.Fprintf(w, "  %-16s dropped from suite (baseline only)\n", name)
+	for _, row := range benchRows(base) {
+		if _, ok := baseRows[row.name]; ok {
+			fmt.Fprintf(w, "  %-29s dropped from suite (baseline only)\n", row.name)
+		}
 	}
 	return regressed, nil
 }
@@ -179,39 +205,41 @@ type benchRow struct {
 	ns, allocs float64
 }
 
-// benchRows indexes a result's "benchmarks" table by benchmark name.
-func benchRows(r *results.Result) map[string]benchRow {
-	rows := map[string]benchRow{}
+// benchRows lists a result's "benchmarks" table rows in table order.
+func benchRows(r *results.Result) []benchRow {
 	t := r.Table("benchmarks")
 	if t == nil {
-		return rows
+		return nil
 	}
 	ni, nsi, ai := t.Col("benchmark"), t.Col("ns/unit"), t.Col("allocs/unit")
 	if ni < 0 || nsi < 0 || ai < 0 {
-		return rows
+		return nil
 	}
+	rows := make([]benchRow, 0, len(t.Rows))
 	for _, row := range t.Rows {
 		ns, _ := row[nsi].Float64()
 		allocs, _ := row[ai].Float64()
-		rows[row[ni].Text()] = benchRow{name: row[ni].Text(), ns: ns, allocs: allocs}
+		rows = append(rows, benchRow{name: row[ni].Text(), ns: ns, allocs: allocs})
 	}
 	return rows
 }
 
 // delta returns the relative change from old to cur (positive = worse for
-// cost metrics). A zero baseline is a contract, not a ratio: rows that
-// committed 0 allocs/unit (FlowEngine, MailboxExchange, the ChoosePath
-// hot policies) regress the moment the metric becomes measurable, so any
-// value past rounding noise reports as an infinite regression instead of
-// dividing away to nothing.
+// cost metrics). A rise of at most 0.01 is rounding noise, not a ratio:
+// the runtime adds a few allocations to a measured run now and then, and
+// over a zero or near-zero allocs/unit baseline (FlowEngine, the
+// FlowSharded rows, MailboxExchange, the ChoosePath policies) they would
+// divide into a large regression. A larger rise over a zero baseline is
+// an infinite regression.
 func delta(old, cur float64) float64 {
-	if old == 0 {
-		if cur <= 0.01 {
-			return 0
-		}
+	switch d := cur - old; {
+	case d >= 0 && d <= 0.01:
+		return 0
+	case old == 0:
 		return math.Inf(1)
+	default:
+		return d / old
 	}
-	return (cur - old) / old
 }
 
 // simlintClean runs the full simlint suite over the module and reports

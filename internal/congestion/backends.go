@@ -19,8 +19,6 @@ type pairState struct {
 	lastEscalate sim.Time
 	// Delay: the pair's calibrated RTT setpoint (0 until first computed).
 	target sim.Time
-	// Stats.
-	signals int64
 }
 
 // base carries the state and mechanics common to every backend: the
@@ -132,9 +130,8 @@ func (c *noCC) Hooks() Hooks { return Hooks{} }
 // OnAck only settles the outstanding-byte account.
 //
 //simlint:hotpath
-func (c *noCC) OnAck(dst topology.NodeID, bytes int64, _ bool, _, _ sim.Time) bool {
+func (c *noCC) OnAck(dst topology.NodeID, bytes int64, _ bool, _, _ sim.Time) {
 	c.ackSettle(dst, bytes)
-	return true
 }
 
 // OnSignal is ignored (an Aries NIC has no back-pressure channel).
@@ -154,7 +151,7 @@ func (c *slingshot) Hooks() Hooks { return Hooks{EndpointSignals: true} }
 // OnAck recovers fast once the back-pressure stops.
 //
 //simlint:hotpath
-func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.Time) bool {
+func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.Time) {
 	ps := c.ackSettle(dst, bytes)
 	// Quiet period passed: fast additive recovery plus pacing decay.
 	if now-ps.lastSignal > recoveryQuiet {
@@ -167,7 +164,6 @@ func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.T
 			ps.paceGap = 0
 		}
 	}
-	return true
 }
 
 // OnSignal applies the stiff, fast response: collapse the window and
@@ -175,7 +171,6 @@ func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.T
 func (c *slingshot) OnSignal(dst topology.NodeID, severity float64, now sim.Time) {
 	ps := c.pair(dst)
 	ps.lastSignal = now
-	ps.signals++
 	c.stats.TotalSignals++
 	// Stiff and fast: collapse the window...
 	ps.window = minWindow
@@ -216,7 +211,7 @@ func (c *ecnLike) Hooks() Hooks { return Hooks{ECNMarks: true} }
 // OnAck cuts on marks and recovers slowly otherwise.
 //
 //simlint:hotpath
-func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now sim.Time) bool {
+func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now sim.Time) {
 	ps := c.ackSettle(dst, bytes)
 	if marked {
 		// At most one multiplicative cut per ~RTT-scale interval; the
@@ -224,7 +219,6 @@ func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now si
 		// bursty incast.
 		if now-ps.lastCut > recoveryQuiet {
 			ps.lastCut = now
-			ps.signals++
 			c.stats.TotalSignals++
 			ps.window = int64(float64(ps.window) * ecnCutFactor)
 			if ps.window < minWindow {
@@ -239,7 +233,6 @@ func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now si
 			ps.window = InitialWindow
 		}
 	}
-	return true
 }
 
 // OnSignal is ignored (ECN has no direct back-pressure channel).
@@ -290,10 +283,10 @@ func (c *delayBased) Hooks() Hooks { return Hooks{} }
 // OnAck compares the sample against the target RTT.
 //
 //simlint:hotpath
-func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now sim.Time) bool {
+func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now sim.Time) {
 	ps := c.ackSettle(dst, bytes)
 	if rtt <= 0 {
-		return true // no sample (e.g. a test driving acks directly)
+		return // no sample (e.g. a test driving acks directly)
 	}
 	target := c.targetFor(ps, dst)
 	if rtt > target {
@@ -302,7 +295,6 @@ func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now si
 		// same standing queue).
 		if now-ps.lastCut > recoveryQuiet {
 			ps.lastCut = now
-			ps.signals++
 			c.stats.TotalSignals++
 			cut := 1 - delayBeta*float64(rtt-target)/float64(rtt)
 			if cut < delayMaxCut {
@@ -322,7 +314,6 @@ func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now si
 			ps.window = InitialWindow
 		}
 	}
-	return true
 }
 
 // OnSignal is ignored (the delay signal rides the acks).

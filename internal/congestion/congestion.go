@@ -145,10 +145,8 @@ type Controller interface {
 	OnSend(dst topology.NodeID, bytes int64, now sim.Time)
 	// OnAck records an end-to-end acknowledgement for bytes delivered to
 	// dst. marked reports ECN marking observed along the path; rtt is the
-	// packet's send-to-ack round-trip time (0 when unknown). It returns
-	// true if the ack unblocked window space (the NIC should retry
-	// pending sends).
-	OnAck(dst topology.NodeID, bytes int64, marked bool, rtt, now sim.Time) bool
+	// packet's send-to-ack round-trip time (0 when unknown).
+	OnAck(dst topology.NodeID, bytes int64, marked bool, rtt, now sim.Time)
 	// OnSignal delivers a direct back-pressure notification from the
 	// fabric for traffic to dst (the switch owning the congested endpoint
 	// port identifies the contributing sources and throttles exactly

@@ -173,8 +173,8 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 }
 
 // sendFlow admits one message to the fluid engine: the Message handle
-// behaves as on the packet path (DeliveredAt, Done, callbacks), but no
-// packets exist — per-packet taps never fire for fluid transfers.
+// behaves as on the packet path (Done, callbacks), but no packets exist —
+// per-packet taps never fire for fluid transfers.
 //
 //simlint:hotpath
 func (n *Network) sendFlow(m *Message) *Message {
@@ -217,14 +217,7 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 	// wire is the one-way flight of a packet along the path: edge
 	// propagation both ends, mean switch traversal per hop, and wire
 	// propagation per fabric hop.
-	wire := 2*phy.EdgeDelay() + sim.Time(switches)*rosetta.MeanTraversal(0, 2)
-	for i := 0; i+1 < len(path); i++ {
-		if n.switches[path[i]].portsTo(path[i+1])[0].global {
-			wire += phy.OpticalDelay()
-		} else {
-			wire += phy.CopperDelay()
-		}
-	}
+	wire := 2*phy.EdgeDelay() + sim.Time(switches)*rosetta.MeanTraversal(0, 2) + n.propagation(path)
 	// The data leg: host overhead, NIC tx+rx, flight, and one cell of
 	// store-and-forward pipeline drain per switch (the fluid serialization
 	// itself is the transfer's bytes/rate and lives in the solver).
@@ -262,7 +255,6 @@ func (h *flowHooks) FlowDelivered(at sim.Time, arg any) {
 	n := (*Network)(h)
 	m := arg.(*Message)
 	m.delivered = m.numPackets
-	m.DeliveredAt = at
 	n.flowsCompleted++
 	n.Counters.PacketsDelivered += int64(m.numPackets)
 	if m.OnDelivered != nil {

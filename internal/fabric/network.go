@@ -294,7 +294,6 @@ func (n *Network) Send(src, dst topology.NodeID, bytes int64, opts SendOpts) *Me
 	}
 	m.Tag = opts.Tag
 	if n.fid != FidelityPacket && n.flowEligible(src, dst, bytes, &opts) {
-		m.SubmittedAt = n.Eng.Now()
 		return n.sendFlow(m)
 	}
 	n.nics[src].submit(m)
@@ -442,18 +441,23 @@ func (n *Network) revLatency(path topology.Path) sim.Time {
 	if path == nil {
 		return lat + perSwitch
 	}
-	lat += sim.Time(len(path)) * perSwitch
+	return lat + sim.Time(len(path))*perSwitch + n.propagation(path)
+}
+
+// propagation is the wire delay along path's switch-to-switch hops:
+// optical or copper per hop by the link kind, read off the built port
+// tables (for the Dragonfly, the links between groups are the optical
+// ones).
+func (n *Network) propagation(path topology.Path) sim.Time {
+	var d sim.Time
 	for i := 0; i+1 < len(path); i++ {
-		// Optical vs copper per hop follows the link kind, read off the
-		// built port tables (for the Dragonfly this is exactly the old
-		// cross-group test: links between groups are the optical ones).
 		if n.switches[path[i]].portsTo(path[i+1])[0].global {
-			lat += phy.OpticalDelay()
+			d += phy.OpticalDelay()
 		} else {
-			lat += phy.CopperDelay()
+			d += phy.CopperDelay()
 		}
 	}
-	return lat
+	return d
 }
 
 // DegradeLinkLanes removes one SerDes lane from every (parallel) link

@@ -33,10 +33,6 @@ type NIC struct {
 
 	hostFreeAt sim.Time
 	pumpEv     *sim.Event
-
-	// Stats.
-	MsgsSent      int64
-	MsgsDelivered int64
 }
 
 // injDepth keeps the injection queue shallow so congestion-control pacing
@@ -86,7 +82,6 @@ type msgSelfDeliver Message
 func (h *msgSelfDeliver) OnEvent(e *sim.Engine, _ *sim.Event) {
 	m := (*Message)(h)
 	at := e.Now()
-	m.DeliveredAt = at
 	m.delivered = m.numPackets
 	m.acked = m.numPackets
 	if m.OnDelivered != nil {
@@ -184,8 +179,6 @@ func (h *nicSignal) OnEvent(e *sim.Engine, ev *sim.Event) {
 // submit queues a message for transmission. Called via Network.Send.
 func (n *NIC) submit(m *Message) {
 	now := n.net.Eng.Now()
-	m.SubmittedAt = now
-
 	if m.Dst == n.ID {
 		// Self-send: loopback, no fabric involvement.
 		n.net.Eng.After(n.net.Prof.HostGap+selfLoopback, (*msgSelfDeliver)(m), 0, nil)
@@ -213,7 +206,6 @@ func (n *NIC) submit(m *Message) {
 		n.order = append(n.order, m.Dst)
 	}
 	n.queues[m.Dst] = append(n.queues[m.Dst], m)
-	n.MsgsSent++
 	n.pump()
 }
 
@@ -415,8 +407,6 @@ func (n *NIC) deliver(p *Packet) {
 		}
 	}
 	if m.delivered >= m.numPackets {
-		m.DeliveredAt = now
-		n.MsgsDelivered++
 		if m.OnDelivered != nil {
 			if n.dom.sh != nil {
 				n.dom.deferCall(now, m.OnDelivered)

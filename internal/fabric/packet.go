@@ -68,9 +68,6 @@ type Message struct {
 	// recycle marks an opted-in (SendOpts.Recycle) handle the fabric
 	// returns to the Send free-list after its final completion event.
 	recycle bool
-
-	SubmittedAt sim.Time
-	DeliveredAt sim.Time
 }
 
 // Done reports whether all data packets have been delivered.

@@ -247,7 +247,7 @@ func (e *Engine) Solves() int64 { return e.solves }
 
 // SetForceFull switches the engine to always re-solve from scratch
 // instead of patching the affected component — the reference mode the
-// equivalence tests and BenchmarkSolverIncremental compare against.
+// equivalence tests and the SolverIncremental bench rows compare against.
 func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 
 // SegmentRate returns the solver-allocated bits/s on the fabric segment

@@ -82,7 +82,7 @@ func fig12(opt Options, msgSizes []int64, bursts []int, gapsUS []int64) *results
 	t := res.AddTable("bursty", "aggr_msg", "burst_size", "gap_us", "impact")
 	for i, c := range specs {
 		t.Row(
-			results.String(sizeName(c.msg)), results.Int(int64(c.burst)),
+			results.String(workloads.SizeLabel(c.msg)), results.Int(int64(c.burst)),
 			results.Int(c.gap), results.Float(impacts[i], 2),
 		)
 	}

@@ -1,14 +1,13 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/workloads"
 )
 
 func init() {
@@ -123,7 +122,7 @@ func fig4(opt Options) (*results.Result, error) {
 		box := lat.Box()
 		gbits := streamBandwidth(sys, opt.Seed, topology.NodeID(p.dst), p.size)
 		return []results.Value{
-			results.String(p.name), results.String(sizeName(p.size)),
+			results.String(p.name), results.String(workloads.SizeLabel(p.size)),
 			results.Float(box.S, 2), results.Float(box.Q1, 2),
 			results.Float(box.Median, 2), results.Float(box.Q3, 2),
 			results.Float(box.L, 2), results.Float(gbits, 2),
@@ -170,17 +169,6 @@ func streamBandwidth(sys System, seed uint64, dst topology.NodeID, size int64) f
 	return float64(size*int64(iters)) * 8 / finish.Seconds() / 1e9
 }
 
-func sizeName(s int64) string {
-	switch {
-	case s >= 1<<20:
-		return fmt.Sprintf("%dMiB", s>>20)
-	case s >= 1024:
-		return fmt.Sprintf("%dKiB", s>>10)
-	default:
-		return fmt.Sprintf("%dB", s)
-	}
-}
-
 // Fig5Sizes spans 8 B to 16 MiB in decade-ish steps like the paper's
 // log-scale x axis.
 var Fig5Sizes = [...]int64{8, 64, 512, 1024, 4096, 32 * 1024, 256 * 1024, 2 << 20, 16 << 20}
@@ -220,7 +208,7 @@ func fig5(opt Options) (*results.Result, error) {
 	t := res.AddTable("rtt", "stack", "size", "rtt2_us")
 	for i, p := range points {
 		t.Row(
-			results.String(p.stack.String()), results.String(sizeName(p.size)),
+			results.String(p.stack.String()), results.String(workloads.SizeLabel(p.size)),
 			results.Float(rtt2[i].Microseconds(), 2),
 		)
 	}

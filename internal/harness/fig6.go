@@ -6,6 +6,7 @@ import (
 	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workloads"
 )
 
 func init() {
@@ -54,7 +55,7 @@ func fig6(opt Options) (*results.Result, error) {
 			tb = measureAlltoall(sys, opt.Seed, n, opt.PPN, p.size)
 		}
 		return []results.Value{
-			results.String(p.series), results.String(sizeName(p.size)),
+			results.String(p.series), results.String(workloads.SizeLabel(p.size)),
 			results.Int(int64(ppn)), results.Float(tb, 3),
 			results.Float(tb/peak, 2),
 		}

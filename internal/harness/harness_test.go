@@ -177,14 +177,14 @@ func TestFig4Shape(t *testing.T) {
 	}
 	// Bandwidth spread across distances <= 15% (paper).
 	for _, size := range Fig4Sizes {
-		a := gbits("same switch" + sizeName(size))
-		b := gbits("different groups" + sizeName(size))
+		a := gbits("same switch" + workloads.SizeLabel(size))
+		b := gbits("different groups" + workloads.SizeLabel(size))
 		ratio := a / b
 		if ratio < 1 {
 			ratio = 1 / ratio
 		}
 		if ratio > 1.15 {
-			t.Errorf("size %s: bandwidth spread %.3f > 1.15", sizeName(size), ratio)
+			t.Errorf("size %s: bandwidth spread %.3f > 1.15", workloads.SizeLabel(size), ratio)
 		}
 	}
 }
@@ -225,7 +225,7 @@ func TestFig6Shape(t *testing.T) {
 	points := table(t, runExp(t, "fig6", Options{Nodes: 64, Seed: 2}), "points")
 	get := func(series string, size int64, col string) float64 {
 		for _, row := range points.Rows {
-			if label(t, points, row, "series") == series && label(t, points, row, "size") == sizeName(size) {
+			if label(t, points, row, "series") == series && label(t, points, row, "size") == workloads.SizeLabel(size) {
 				return num(t, points, row, col)
 			}
 		}

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// HotPath turns the machine-dependent BenchmarkPacketHotPath alloc gate
-// into a machine-independent source-level gate: functions annotated
+// HotPath backs the measured allocs/unit gate on BENCH_hotpath.json with
+// a source-level gate: functions annotated
 // //simlint:hotpath (the per-event/per-packet spine — Engine.Step and
 // Schedule, the NIC/switch/port handlers, Network.route, the routing
 // Choose backends, the congestion CanSend/OnSend/OnAck hooks,

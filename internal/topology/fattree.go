@@ -104,7 +104,8 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for e := 0; e < cfg.EdgePerPod; e++ {
 			for a := 0; a < cfg.AggPerPod; a++ {
 				es, as := f.edgeSwitch(p, e), f.aggSwitch(p, a)
-				f.addAdj(es, as, f.addLink(LocalLink, es, as, -1))
+				f.addLink(LocalLink, es, as, -1)
+				f.addAdj(es, as)
 			}
 		}
 	}
@@ -115,7 +116,8 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for a := 0; a < cfg.AggPerPod; a++ {
 			for c := 0; c < cfg.CorePerAgg; c++ {
 				as, cs := f.aggSwitch(p, a), f.coreSwitch(a, c)
-				f.addAdj(as, cs, f.addLink(GlobalLink, as, cs, -1))
+				f.addLink(GlobalLink, as, cs, -1)
+				f.addAdj(as, cs)
 			}
 		}
 	}

@@ -93,7 +93,8 @@ func NewHyperX(cfg HyperXConfig) (*HyperX, error) {
 			}
 			for t := c + 1; t < size; t++ {
 				a, b := SwitchID(s), SwitchID(s+(t-c)*stride[d])
-				h.addAdj(a, b, h.addLink(kind, a, b, -1))
+				h.addLink(kind, a, b, -1)
+				h.addAdj(a, b)
 			}
 		}
 	}

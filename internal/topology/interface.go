@@ -38,7 +38,6 @@ type Topology interface {
 	// SwitchNodes returns the contiguous node range attached to a switch
 	// (count is 0 for switches without endpoints, e.g. fat-tree spines).
 	SwitchNodes(SwitchID) (first NodeID, count int)
-	LinksBetween(a, b SwitchID) []int
 
 	// Dense adjacency.
 	NeighborIndex(a, b SwitchID) int
@@ -97,13 +96,12 @@ func LinkSlotBase(t Topology) []int32 {
 
 // adjacency is the slice-indexed neighbor structure shared by every
 // backend (no maps — the routing hot path queries it per hop): adj[s]
-// lists s's neighbor switches in link-discovery order, adjLinks[s][i] the
-// (parallel) link IDs towards adj[s][i], and adjIndex[s][t] the index i
-// such that adj[s][i] == t, or -1 when s and t are not adjacent.
+// lists s's neighbor switches in link-discovery order, and adjIndex[s][t]
+// the index i such that adj[s][i] == t, or -1 when s and t are not
+// adjacent.
 type adjacency struct {
-	sw       int
-	adj      [][]SwitchID
-	adjLinks [][][]int
+	sw  int
+	adj [][]SwitchID
 	// adjIndex is the dense sw x sw lookup matrix. Its O(sw^2) footprint
 	// is fine for experiment-scale fabrics but fatal at million-endpoint
 	// scale (65k switches would need a 17 GB matrix), so fabrics above
@@ -128,7 +126,6 @@ func (m *adjacency) initAdjacency(sw int) {
 	m.sw = sw
 	m.diam = -1
 	m.adj = make([][]SwitchID, sw)
-	m.adjLinks = make([][][]int, sw)
 	if sw > denseAdjSwitches {
 		m.nbSorted = make([][]SwitchID, sw)
 		m.nbSlot = make([][]int32, sw)
@@ -165,36 +162,36 @@ func (m *adjacency) lookup(a, b SwitchID) int32 {
 	return -1
 }
 
-// addAdj records link id in both directions of the adjacency.
-func (m *adjacency) addAdj(a, b SwitchID, id int) {
-	m.addAdjDir(a, b, id)
-	m.addAdjDir(b, a, id)
+// addAdj records a link between a and b in both directions of the
+// adjacency; parallel links add nothing past the first.
+func (m *adjacency) addAdj(a, b SwitchID) {
+	m.addAdjDir(a, b)
+	m.addAdjDir(b, a)
 }
 
-// addAdjDir appends link id to the a->b adjacency.
-func (m *adjacency) addAdjDir(a, b SwitchID, id int) {
-	i := m.lookup(a, b)
-	if i < 0 {
-		i = int32(len(m.adj[a]))
-		if m.adjIndex != nil {
-			m.adjIndex[a][b] = i
-		} else {
-			row, slot := m.nbSorted[a], m.nbSlot[a]
-			pos := 0
-			for pos < len(row) && row[pos] < b {
-				pos++
-			}
-			row = append(row, 0)
-			slot = append(slot, 0)
-			copy(row[pos+1:], row[pos:])
-			copy(slot[pos+1:], slot[pos:])
-			row[pos], slot[pos] = b, i
-			m.nbSorted[a], m.nbSlot[a] = row, slot
-		}
-		m.adj[a] = append(m.adj[a], b)
-		m.adjLinks[a] = append(m.adjLinks[a], nil)
+// addAdjDir makes b a neighbor of a, at the next index of a's neighbor
+// list, unless it already is one.
+func (m *adjacency) addAdjDir(a, b SwitchID) {
+	if m.lookup(a, b) >= 0 {
+		return
 	}
-	m.adjLinks[a][i] = append(m.adjLinks[a][i], id)
+	i := int32(len(m.adj[a]))
+	if m.adjIndex != nil {
+		m.adjIndex[a][b] = i
+	} else {
+		row, slot := m.nbSorted[a], m.nbSlot[a]
+		pos := 0
+		for pos < len(row) && row[pos] < b {
+			pos++
+		}
+		row = append(row, 0)
+		slot = append(slot, 0)
+		copy(row[pos+1:], row[pos:])
+		copy(slot[pos+1:], slot[pos:])
+		row[pos], slot[pos] = b, i
+		m.nbSorted[a], m.nbSlot[a] = row, slot
+	}
+	m.adj[a] = append(m.adj[a], b)
 }
 
 // localAdjacent reports whether two distinct switches share a direct link.
@@ -223,15 +220,6 @@ func (m *adjacency) Neighbors(s SwitchID) []SwitchID {
 	out := make([]SwitchID, len(m.adj[s]))
 	copy(out, m.adj[s])
 	return out
-}
-
-// LinksBetween returns the IDs of the (parallel) links directly connecting
-// switches a and b, or nil when they are not adjacent.
-func (m *adjacency) LinksBetween(a, b SwitchID) []int {
-	if i := m.lookup(a, b); i >= 0 {
-		return m.adjLinks[a][i]
-	}
-	return nil
 }
 
 // Valid reports whether every consecutive pair in the path is adjacent and

@@ -196,7 +196,8 @@ func New(cfg Config) (*Dragonfly, error) {
 	// Local links: full mesh within each group, or — for Grid2D (Aries) —
 	// all-to-all inside each row and inside each column.
 	addLocal := func(a, b SwitchID) {
-		d.addAdj(a, b, d.addLink(LocalLink, a, b, -1))
+		d.addLink(LocalLink, a, b, -1)
+		d.addAdj(a, b)
 	}
 	for g := 0; g < cfg.Groups; g++ {
 		base := SwitchID(g * cfg.SwitchesPerGroup)
@@ -226,7 +227,7 @@ func New(cfg Config) (*Dragonfly, error) {
 				rr[g1] = (rr[g1] + 1) % cfg.SwitchesPerGroup
 				rr[g2] = (rr[g2] + 1) % cfg.SwitchesPerGroup
 				id := d.addLink(GlobalLink, a, b, -1)
-				d.addAdj(a, b, id)
+				d.addAdj(a, b)
 				d.globalOut[g1][g2] = append(d.globalOut[g1][g2], id)
 				d.globalOut[g2][g1] = append(d.globalOut[g2][g1], id)
 			}

@@ -21,8 +21,6 @@ const AggressorMsgBytes = 128 * 1024
 // Aggressor is a continuously running congestion generator.
 type Aggressor struct {
 	stopped bool
-	// InFlight counts currently outstanding operations (diagnostics).
-	InFlight int
 }
 
 // Stop makes the aggressor wind down: outstanding operations complete but
@@ -69,13 +67,11 @@ func StartIncast(j *mpi.Job, msgBytes int64, window int) *Aggressor {
 			var post func()
 			post = func() {
 				if a.stopped {
-					a.InFlight--
 					return
 				}
 				j.Put(r, target, msgBytes, func(sim.Time) { post() })
 			}
 			for w := 0; w < window; w++ {
-				a.InFlight++
 				post()
 			}
 		}
@@ -102,12 +98,10 @@ func StartAlltoall(j *mpi.Job, msgBytes int64) *Aggressor {
 		//simlint:allocok -- one closure per aggressor group at launch, reused across rounds
 		round = func() {
 			if a.stopped {
-				a.InFlight--
 				return
 			}
 			sub.Alltoall(msgBytes, func(sim.Time) { round() }) //simlint:allocok -- one completion callback per all-to-all round (collective-level)
 		}
-		a.InFlight++
 		round()
 	}
 	return a
@@ -132,7 +126,6 @@ func (b *burstRank) OnEvent(_ *sim.Engine, _ *sim.Event) { b.step(b.burstSize) }
 
 func (b *burstRank) step(left int) {
 	if b.a.stopped {
-		b.a.InFlight--
 		return
 	}
 	if left == 0 {
@@ -161,7 +154,6 @@ func StartBurstyIncast(j *mpi.Job, msgBytes int64, burstSize int, gap sim.Time) 
 				msgBytes: msgBytes, burstSize: burstSize, gap: gap,
 			}
 			b.onPut = func(sim.Time) { b.step(b.left - 1) }
-			a.InFlight++
 			b.step(burstSize)
 		}
 	}

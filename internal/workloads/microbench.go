@@ -141,10 +141,12 @@ func (m Microbench) Label() string {
 	if m.Size == 0 {
 		return m.Name
 	}
-	return fmt.Sprintf("%s/%s", m.Name, sizeLabel(m.Size))
+	return fmt.Sprintf("%s/%s", m.Name, SizeLabel(m.Size))
 }
 
-func sizeLabel(s int64) string {
+// SizeLabel names a message size in the largest binary unit it reaches,
+// rounded down: 8B, 32KiB, 16MiB.
+func SizeLabel(s int64) string {
 	switch {
 	case s >= 1<<20:
 		return fmt.Sprintf("%dMiB", s>>20)
