@@ -63,13 +63,14 @@ func Suite() []Row {
 		{"ChoosePath/valiant", "decision", 0, 0, 1_000, 1_000_000, choosePath(routing.ValiantUGAL{})},
 		{"TopoBuild", "build(x3)", 0, 0, 10, 20_000, topoBuild},
 		{"FabricBuild", "build", 0, 0, 2, 200, fabricBuild},
+		{"FlowBuild", "build", 0, 0, 2, 200, flowBuild},
 		{"RunCell", "cell", 0, 0, 2, 400, runCell},
 		{"MailboxExchange", "msg", 0, 0, 100_000, 10_000_000, mailboxExchange},
 		{"ParallelRun/d1", "packet", 1, packetBytes, 20_000, 150_000, parallelRun(1)},
 		{"ParallelRun/d2", "packet", 2, packetBytes, 20_000, 150_000, parallelRun(2)},
 		{"ParallelRun/d4", "packet", 4, packetBytes, 20_000, 150_000, parallelRun(4)},
 		{"ParallelRun/d8", "packet", 8, packetBytes, 20_000, 150_000, parallelRun(8)},
-		// Last: its million-endpoint fabric holds ~1.7 GiB while it runs.
+		// Last: its million-endpoint fabric holds ~0.65 GiB while it runs.
 		{"FlowScale1M", "flow", 0, flowScaleBytes, 4_096, 60_000, flowScale1M},
 	}
 }
@@ -192,22 +193,45 @@ func topoBuild() func(n int) {
 	}
 }
 
-// fabricBuild builds the fabric of e2ebench's packet-sharded workload per
-// unit, on the classic engine: the Slingshot profile over a 4096-endpoint
-// Dragonfly (16 groups x 16 switches x 16 nodes, two global links per
-// group pair, 12,512 egress ports). ns and allocs per unit read as the
-// cost of fabric.New alone — the switches, NICs and port table every
-// network pays before its first packet, and the million-endpoint flow run
-// pays at scale.
-func fabricBuild() func(n int) {
-	topo := topology.MustNew(topology.Config{
+// buildTopo is the fabric of e2ebench's packet-sharded workload: a
+// 4096-endpoint Slingshot Dragonfly (16 groups x 16 switches x 16 nodes,
+// two global links per group pair, 12,512 egress ports).
+func buildTopo() topology.Topology {
+	return topology.MustNew(topology.Config{
 		Groups: 16, SwitchesPerGroup: 16, NodesPerSwitch: 16, GlobalPerPair: 2,
 	})
+}
+
+// fabricBuild builds buildTopo's packet fabric per unit, on the classic
+// engine: fabric.New, then a QueuedAtEdge read that builds the port plane
+// as a network's first packet would. ns and allocs per unit read as the
+// switches, NICs and port plane every packet-fidelity network pays
+// before its first packet moves.
+func fabricBuild() func(n int) {
+	topo := buildTopo()
 	prof := fabric.SlingshotProfile()
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			if net := fabric.New(topo, prof, 5); net.Topo.Nodes() != 4096 {
-				panic("bench: fabric under-built")
+			if net := fabric.New(topo, prof, 5); net.QueuedAtEdge(0) != 0 {
+				panic("bench: idle fabric has a queue")
+			}
+		}
+	}
+}
+
+// flowBuild builds buildTopo's network at flow fidelity per unit:
+// fabric.New plus SetFidelity(FidelityFlow), which builds the fluid
+// engine and no port plane. It pins that build under the allocs gate,
+// so the port plane cannot creep back into flow-fidelity networks.
+func flowBuild() func(n int) {
+	topo := buildTopo()
+	prof := fabric.SlingshotProfile()
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			net := fabric.New(topo, prof, 5)
+			net.SetFidelity(fabric.FidelityFlow)
+			if net.Fidelity() != fabric.FidelityFlow {
+				panic("bench: flow fidelity not set")
 			}
 		}
 	}
@@ -404,8 +428,9 @@ const flowScaleBytes = 16 << 20
 // ns per unit over 16 MiB is the fluid path's ns per simulated byte at
 // the scale the paper's fabrics actually ship — the run the incremental
 // component solver exists for (a full re-solve touches 4M segments, the
-// component around one bisection flow a few hundred). The build takes
-// ~4 s and leaves a ~1.7 GiB heap on a 2-vCPU Xeon VM.
+// component around one bisection flow a few hundred). At flow fidelity
+// the network builds no port plane: the build takes ~1 s and leaves a
+// ~0.65 GiB heap on a 2-vCPU Xeon VM.
 func flowScale1M() func(n int) {
 	topo := topology.MustNew(topology.Config{
 		Groups: 1024, SwitchesPerGroup: 64, NodesPerSwitch: 16, GlobalPerPair: 1,

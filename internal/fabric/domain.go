@@ -231,8 +231,9 @@ func (n *Network) flushDeferred() {
 	n.defrBuf.d = buf[:0]
 }
 
-// initDomains splits the built fabric into its topology partition's
-// domains and stands up the epoch coordinator. workers bounds the
+// initDomains splits the built switches and NICs into their topology
+// partition's domains and stands up the epoch coordinator; buildPorts
+// then puts each port in its transmitter's domain. workers bounds the
 // goroutine budget only — the decomposition is the topology's natural
 // one regardless, so Domains=1 and Domains=N run the identical
 // computation and produce byte-identical output.
@@ -256,15 +257,8 @@ func (n *Network) initDomains(workers int) {
 	for _, nic := range n.nics {
 		nic.dom = n.switches[n.Topo.SwitchOf(nic.ID)].dom
 	}
-	for i, l := range n.Topo.Links() {
-		// Link i's port 2i transmits from switch A, port 2i+1 from switch
-		// B — or, on an edge link (A == B), from the NIC, which shares its
-		// switch's domain.
-		n.ports[2*i].dom = n.switches[l.A].dom
-		n.ports[2*i+1].dom = n.switches[l.B].dom
-	}
 	// The remote-load snapshot: one entry per link slot.
-	n.snap = make([]int64, n.linkSlots()[len(n.switches)])
+	n.snap = make([]int64, n.slotBase[len(n.switches)])
 
 	n.par = par.New(shards, n.Eng, part.MinCutLatency, workers)
 	n.par.Hooks = n
@@ -295,9 +289,6 @@ func (n *Network) initClassic() {
 	}
 	for _, nic := range n.nics {
 		nic.dom = d
-	}
-	for i := range n.ports {
-		n.ports[i].dom = d
 	}
 }
 

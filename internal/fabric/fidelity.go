@@ -110,28 +110,9 @@ func (n *Network) SetFidelity(f Fidelity) {
 	// sharded epoch snapshot and of the fluid engine's fabric segments —
 	// plus one per node for the switch->node edge. Written only by
 	// publishFlowBG on the control engine; read by routing and enqueue
-	// thresholds.
-	slots := n.linkSlots()
-	n.flowBG = make([]int64, slots[len(n.switches)])
+	// thresholds, each port through the slot buildPorts stamped on it.
+	n.flowBG = make([]int64, n.slotBase[len(n.switches)])
 	n.flowBGEdge = make([]int64, n.Topo.Nodes())
-	// Stamp each port's slot in the background tables so the per-packet
-	// threshold checks are one slice read.
-	for _, sw := range n.switches {
-		for nb, ports := range sw.ports {
-			for _, o := range ports {
-				o.bgIdx = slots[sw.ID] + int32(nb)
-			}
-		}
-		for _, o := range sw.edge {
-			o.bgIdx = int32(o.peerNIC.ID)
-		}
-	}
-	// Injection ports carry no background slot: the fluid engine's
-	// edge-up usage limits fluid rates in the solver, but the node's own
-	// packet injection queue must not double-count it.
-	for _, nic := range n.nics {
-		nic.inj.bgIdx = -1
-	}
 }
 
 // Fidelity returns the mode set by SetFidelity.

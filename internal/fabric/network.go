@@ -38,7 +38,8 @@ type Network struct {
 	nics     []*NIC
 	// ports is the port table: topology link l's two directions are
 	// ports 2l and 2l+1 (switch->NIC then NIC->switch for an edge link,
-	// A->B then B->A for a fabric link). Never resized after build.
+	// A->B then B->A for a fabric link). nil until buildPorts builds the
+	// port plane; never resized after.
 	ports []outPort
 	msgID int64
 	// wantSignals/wantECN cache the congestion algorithm's fabric-side
@@ -64,10 +65,14 @@ type Network struct {
 	// after build, like the minPaths entries.
 	selfPaths []topology.Path
 	// slotBase numbers the directed switch-to-switch links
-	// (topology.LinkSlotBase): the sharded load snapshot and the fluid
-	// background-load table index by it, as do the fluid engine's fabric
-	// segments. Built on first use by linkSlots.
+	// (topology.LinkSlotBase): the sharded load snapshot, the fluid
+	// background-load table and slotOptical index by it, as do the fluid
+	// engine's fabric segments.
 	slotBase []int32
+	// slotOptical[slot] reports whether the link slot's hop is optical
+	// (a GlobalLink). It is built from the topology's links at
+	// construction, so propagation never needs the port plane.
+	slotOptical []bool
 
 	// Sharding state (see domain.go). doms always has at least the one
 	// classic domain; par is nil in classic mode.
@@ -134,6 +139,9 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 		n.initClassic()
 	} else {
 		n.initDomains(domains)
+		// The epoch snapshot reads every port, and shard workers must
+		// never build a shared table from a handler.
+		n.buildPorts()
 	}
 	return n
 }
@@ -141,6 +149,14 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 func (n *Network) build() {
 	topo := n.Topo
 	prof := &n.Prof
+	n.slotBase = topology.LinkSlotBase(topo)
+	n.slotOptical = make([]bool, n.slotBase[topo.Switches()])
+	for _, l := range topo.Links() {
+		if l.Kind == topology.GlobalLink {
+			n.slotOptical[n.slot(l.A, l.B)] = true
+			n.slotOptical[n.slot(l.B, l.A)] = true
+		}
+	}
 	// The outer cache spine is sized here so sharded domains fault rows
 	// concurrently without ever touching a shared lazy allocation.
 	n.minPaths = make([][][]topology.Path, topo.Switches())
@@ -150,27 +166,31 @@ func (n *Network) build() {
 		selfIDs[i] = topology.SwitchID(i)
 		n.selfPaths[i] = selfIDs[i : i+1 : i+1]
 	}
-	n.switches = make([]*Switch, topo.Switches())
-	for i := range n.switches {
+	// Switches and NICs are carved from one array each: a
+	// million-endpoint build makes two allocations here, not a million.
+	switches := make([]Switch, topo.Switches())
+	n.switches = make([]*Switch, len(switches))
+	for i := range switches {
 		rng := n.rng.Split()
-		first, count := topo.SwitchNodes(topology.SwitchID(i))
-		n.switches[i] = &Switch{
+		first, _ := topo.SwitchNodes(topology.SwitchID(i))
+		switches[i] = Switch{
 			net:       n,
 			ID:        topology.SwitchID(i),
 			rng:       rng,
 			lat:       rosetta.NewLatencyModel(rng.Split()),
-			ports:     make([][]*outPort, topo.NeighborCount(topology.SwitchID(i))),
-			edge:      make([]*outPort, count),
 			firstNode: int(first),
 		}
+		n.switches[i] = &switches[i]
 	}
-	n.nics = make([]*NIC, topo.Nodes())
-	for i := range n.nics {
-		n.nics[i] = &NIC{
+	nics := make([]NIC, topo.Nodes())
+	n.nics = make([]*NIC, len(nics))
+	for i := range nics {
+		nics[i] = NIC{
 			net: n,
 			ID:  topology.NodeID(i),
 			cc:  prof.CC(),
 		}
+		n.nics[i] = &nics[i]
 	}
 	if len(n.nics) > 0 {
 		// Every NIC runs the same algorithm; cache its fabric-side hooks
@@ -190,56 +210,115 @@ func (n *Network) build() {
 			})
 		}
 	}
+}
 
-	// port fills slot k of the port table. Slots fill in table order,
-	// which is the order the ports' frame-error streams split off the
-	// network's RNG.
-	n.ports = make([]outPort, 2*len(topo.Links()))
-	port := func(k int, o outPort) *outPort {
-		o.net = n
-		o.sched = qos.NewPortScheduler(n.QoS)
-		if prof.FrameBER > 0 {
-			o.rng = n.rng.Split()
-		}
-		n.ports[k] = o
-		return &n.ports[k]
+// slot returns the link slot of the directed hop from a to its neighbour
+// b (see slotBase).
+func (n *Network) slot(a, b topology.SwitchID) int32 {
+	return n.slotBase[a] + int32(n.Topo.NeighborIndex(a, b))
+}
+
+// ensurePorts builds the port plane unless it exists. A classic network
+// calls it from each packet-path entry point (a message entering the
+// fabric, ChoosePath, QueuedAtEdge, DegradeLinkLanes, RestoreLinkLanes),
+// so a flow-fidelity network never builds one.
+func (n *Network) ensurePorts() {
+	if n.ports == nil {
+		n.buildPorts()
 	}
-	for i, l := range topo.Links() {
+}
+
+// buildPorts builds the egress-port plane: the port table with each
+// port's class state, the switches' neighbour and edge port lists, the
+// NICs' injection ports, and each port's domain and background-load
+// slot. Class state, neighbour lists and port lists are each carved from
+// one backing array. The ports' frame-error streams split off the
+// network's RNG in port-table order, after every switch's stream, so a
+// plane built on first use draws the same streams as one built at
+// construction.
+func (n *Network) buildPorts() {
+	topo := n.Topo
+	prof := &n.Prof
+	links := topo.Links()
+	n.ports = make([]outPort, 2*len(links))
+	scheds := qos.NewPortSchedulers(n.QoS, len(n.ports))
+
+	// width[slot] counts the parallel links behind a (switch, neighbour)
+	// slot; each slot's list gets exactly that capacity, so the appends
+	// below fill the lists in link order without growing them.
+	nslots := n.slotBase[len(n.switches)]
+	width := make([]int32, nslots)
+	fabricPorts := 0
+	for _, l := range links {
+		if l.Kind != topology.EdgeLink {
+			width[n.slot(l.A, l.B)]++
+			width[n.slot(l.B, l.A)]++
+			fabricPorts += 2
+		}
+	}
+	lists := make([][]*outPort, nslots)
+	backing := make([]*outPort, fabricPorts)
+	for slot, w := range width {
+		lists[slot], backing = backing[:0:w], backing[w:]
+	}
+	edges := make([]*outPort, topo.Nodes())
+	for _, sw := range n.switches {
+		lo, hi := n.slotBase[sw.ID], n.slotBase[sw.ID+1]
+		sw.ports = lists[lo:hi:hi]
+		_, count := topo.SwitchNodes(sw.ID)
+		sw.edge = edges[sw.firstNode : sw.firstNode+count : sw.firstNode+count]
+	}
+
+	for i, l := range links {
+		a, b := &n.ports[2*i], &n.ports[2*i+1]
 		switch l.Kind {
 		case topology.EdgeLink:
 			sw := n.switches[l.A]
 			nic := n.nics[l.Node]
-			// Switch -> NIC.
-			sw.edge[int(l.Node)-sw.firstNode] = port(2*i, outPort{
+			// Switch -> NIC; its background slot is the node's.
+			*a = outPort{
 				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
-				peerNIC: nic, edge: true,
-			})
+				peerNIC: nic, edge: true, bgIdx: int32(l.Node),
+			}
+			sw.edge[int(l.Node)-sw.firstNode] = a
 			// NIC -> switch (the injection port), credited against the
-			// switch's input buffer.
-			nic.inj = port(2*i+1, outPort{
+			// switch's input buffer. It carries no background slot: the
+			// fluid engine's edge-up usage limits fluid rates in the
+			// solver, and the node's own packet injection queue must not
+			// double-count it.
+			*b = outPort{
 				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
-				ownerNIC: nic, peerSw: sw, credits: prof.InputBufferBytes,
-			})
+				ownerNIC: nic, peerSw: sw, credits: prof.InputBufferBytes, bgIdx: -1,
+			}
+			nic.inj = b
 		case topology.LocalLink, topology.GlobalLink:
-			a, b := n.switches[l.A], n.switches[l.B]
 			prop := phy.CopperDelay()
-			global := false
 			if l.Kind == topology.GlobalLink {
 				prop = phy.OpticalDelay()
-				global = true
 			}
-			ab := port(2*i, outPort{
+			ab, ba := n.slot(l.A, l.B), n.slot(l.B, l.A)
+			*a = outPort{
 				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
-				peerSw: b, credits: prof.InputBufferBytes, global: global,
-			})
-			ba := port(2*i+1, outPort{
+				peerSw: n.switches[l.B], credits: prof.InputBufferBytes, bgIdx: ab,
+			}
+			*b = outPort{
 				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
-				peerSw: a, credits: prof.InputBufferBytes, global: global,
-			})
-			ia := topo.NeighborIndex(l.A, l.B)
-			ib := topo.NeighborIndex(l.B, l.A)
-			a.ports[ia] = append(a.ports[ia], ab)
-			b.ports[ib] = append(b.ports[ib], ba)
+				peerSw: n.switches[l.A], credits: prof.InputBufferBytes, bgIdx: ba,
+			}
+			lists[ab] = append(lists[ab], a)
+			lists[ba] = append(lists[ba], b)
+		}
+		// Port 2i transmits from switch A, port 2i+1 from switch B — or,
+		// on an edge link (A == B), from the NIC, which shares its
+		// switch's domain.
+		a.dom, b.dom = n.switches[l.A].dom, n.switches[l.B].dom
+	}
+	for k := range n.ports {
+		o := &n.ports[k]
+		o.net = n
+		o.sched = scheds.Next()
+		if prof.FrameBER > 0 {
+			o.rng = n.rng.Split()
 		}
 	}
 }
@@ -342,6 +421,7 @@ func (n *Network) choosePath(s *Switch, p *Packet) topology.Path {
 // hot path, and draws from the source switch's RNG stream — interleaving
 // it with live traffic therefore perturbs replay.
 func (n *Network) ChoosePath(src, dst topology.NodeID, flowID int64, class int) topology.Path {
+	n.ensurePorts()
 	if class < 0 || class >= len(n.QoS.Classes) {
 		class = 0
 	}
@@ -376,16 +456,6 @@ func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int6
 		RouteNoise:  n.Prof.RouteNoise,
 		Arena:       &s.dom.arena,
 	}, n.minimalPaths(src, dst), s.dom, s.rng)
-}
-
-// linkSlots returns the network's link-slot numbering, building it on
-// first use: only the sharded load snapshot and the fluid background
-// table need it, so a classic packet-fidelity network never allocates it.
-func (n *Network) linkSlots() []int32 {
-	if n.slotBase == nil {
-		n.slotBase = topology.LinkSlotBase(n.Topo)
-	}
-	return n.slotBase
 }
 
 // minimalPaths returns the cached minimal-path candidates between two
@@ -445,13 +515,13 @@ func (n *Network) revLatency(path topology.Path) sim.Time {
 }
 
 // propagation is the wire delay along path's switch-to-switch hops:
-// optical or copper per hop by the link kind, read off the built port
-// tables (for the Dragonfly, the links between groups are the optical
+// optical or copper per hop by the link kind, read off the link-slot
+// table (for the Dragonfly, the links between groups are the optical
 // ones).
 func (n *Network) propagation(path topology.Path) sim.Time {
 	var d sim.Time
 	for i := 0; i+1 < len(path); i++ {
-		if n.switches[path[i]].portsTo(path[i+1])[0].global {
+		if n.slotOptical[n.slot(path[i], path[i+1])] {
 			d += phy.OpticalDelay()
 		} else {
 			d += phy.CopperDelay()
@@ -465,6 +535,7 @@ func (n *Network) propagation(path topology.Path) sim.Time {
 // degrade that tolerates hard lane failures by running ports at reduced
 // width. It reports whether any usable lane remains.
 func (n *Network) DegradeLinkLanes(a, b topology.SwitchID) bool {
+	n.ensurePorts()
 	ok := false
 	for _, o := range n.switches[a].portsTo(b) {
 		if o.phy.DegradeLane() {
@@ -483,6 +554,7 @@ func (n *Network) DegradeLinkLanes(a, b topology.SwitchID) bool {
 
 // RestoreLinkLanes returns the links between two switches to full width.
 func (n *Network) RestoreLinkLanes(a, b topology.SwitchID) {
+	n.ensurePorts()
 	for _, o := range n.switches[a].portsTo(b) {
 		o.phy.RestoreLanes()
 	}
@@ -494,6 +566,7 @@ func (n *Network) RestoreLinkLanes(a, b topology.SwitchID) {
 // QueuedAtEdge reports the egress-queue depth at the switch port feeding a
 // NIC — the quantity endpoint congestion control watches.
 func (n *Network) QueuedAtEdge(node topology.NodeID) int64 {
+	n.ensurePorts()
 	sw := n.switches[n.Topo.SwitchOf(node)]
 	o := sw.edgePort(node)
 	return o.queuedBytes() + o.bgQueued()

@@ -185,6 +185,10 @@ func (n *NIC) submit(m *Message) {
 		return
 	}
 
+	// The message enters the fabric: a classic network builds its port
+	// plane on the first one.
+	n.net.ensurePorts()
+
 	// The host/driver spends HostGap per message; messages submitted
 	// back-to-back serialize on it (this is the ~1.2M msg/s small-message
 	// rate of Fig. 4).
@@ -329,10 +333,14 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 				n.nextDataAt[dst] = now + rendezvousMsgGap
 			}
 			// Fully injected: drop from the queue (completion is tracked
-			// by the message itself).
-			n.queues[dst] = q[1:]
-			if len(n.queues[dst]) == 0 {
-				n.queues[dst] = nil
+			// by the message itself). The queue, a caller's window of
+			// outstanding messages deep, shifts down in place and clears
+			// its vacated slot: it keeps its storage for the next submit
+			// and pins no injected message.
+			copy(q, q[1:])
+			q[len(q)-1] = nil
+			n.queues[dst] = q[:len(q)-1]
+			if len(q) == 1 {
 				n.active[dst] = false
 				n.removeOrder(dst)
 				// Note: rr now indexes a shifted slice; harmless for

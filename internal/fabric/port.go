@@ -18,7 +18,8 @@ func bufBytes(p *Packet) int64 {
 // injection side) towards a peer switch or NIC. It owns the egress queue
 // (a per-traffic-class DRR scheduler), the busy/serialization state, and
 // the credit count representing free space in the peer's input buffer.
-// Every port lives in its network's port table (Network.ports).
+// Every port lives in its network's port table (Network.ports), which
+// buildPorts fills.
 type outPort struct {
 	net *Network
 	// dom is the owning domain: the transmitting switch's (or, for an
@@ -33,12 +34,11 @@ type outPort struct {
 	peerSw   *Switch // nil when the port faces a NIC
 	peerNIC  *NIC
 
-	edge   bool // switch->NIC port: endpoint congestion is detected here
-	global bool // inter-group optical link
+	edge bool // switch->NIC port: endpoint congestion is detected here
 
 	// bgIdx is this port's slot in the fluid background-load tables
-	// (flowBGEdge for edge ports, flowBG for fabric ports), stamped by
-	// SetFidelity; -1 for ports with no slot (NIC injection).
+	// (flowBGEdge for edge ports, flowBG for fabric ports); -1 for ports
+	// with no slot (NIC injection).
 	bgIdx int32
 
 	// phy is the physical link's lane state: lane degrade reduces the

@@ -196,8 +196,10 @@ func TestLossyLinkNoDoubleCounting(t *testing.T) {
 	}
 }
 
-// linkPorts exposes the parallel egress ports a->b to the lane tests.
+// linkPorts exposes the parallel egress ports a->b to the lane tests,
+// building the port plane first as every packet-path entry point does.
 func linkPorts(n *Network, a, b topology.SwitchID) []*outPort {
+	n.ensurePorts()
 	return n.switches[a].portsTo(b)
 }
 

@@ -83,9 +83,26 @@ type PortScheduler struct {
 // quantumBase is the DRR base quantum (one max-size frame).
 const quantumBase = 4200
 
-// NewPortScheduler returns a scheduler for one egress port.
-func NewPortScheduler(cfg *Config) PortScheduler {
-	return PortScheduler{cfg: cfg, classes: make([]classQ, len(cfg.Classes))}
+// PortSchedulers carves port schedulers out of one backing array of
+// class state, so a fabric's whole port table costs one allocation
+// rather than one per port.
+type PortSchedulers struct {
+	cfg  *Config
+	free []classQ
+}
+
+// NewPortSchedulers reserves class state for the given number of ports.
+func NewPortSchedulers(cfg *Config, ports int) PortSchedulers {
+	return PortSchedulers{cfg: cfg, free: make([]classQ, ports*len(cfg.Classes))}
+}
+
+// Next returns the scheduler of one more egress port. It panics once the
+// reserved ports are used up.
+func (p *PortSchedulers) Next() PortScheduler {
+	k := len(p.cfg.Classes)
+	s := PortScheduler{cfg: p.cfg, classes: p.free[:k:k]}
+	p.free = p.free[k:]
+	return s
 }
 
 // Enqueue appends a packet of the given wire size to a class queue.

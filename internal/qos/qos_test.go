@@ -6,6 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
+// newScheduler returns the scheduler of a one-port fabric.
+func newScheduler(cfg *Config) PortScheduler {
+	ps := NewPortSchedulers(cfg, 1)
+	return ps.Next()
+}
+
 func twoClasses(min1, min2 float64) *Config {
 	return &Config{Classes: []Class{
 		{Name: "tc1", MinShare: min1, MinimalBias: 1},
@@ -33,7 +39,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestFIFOWithinClass(t *testing.T) {
-	s := NewPortScheduler(DefaultConfig())
+	s := newScheduler(DefaultConfig())
 	for i := 0; i < 10; i++ {
 		s.Enqueue(0, 100, i)
 	}
@@ -49,7 +55,7 @@ func TestFIFOWithinClass(t *testing.T) {
 }
 
 func TestQueuedBytesAccounting(t *testing.T) {
-	s := NewPortScheduler(twoClasses(0.5, 0.2))
+	s := newScheduler(twoClasses(0.5, 0.2))
 	s.Enqueue(0, 1000, "a")
 	s.Enqueue(1, 500, "b")
 	s.Enqueue(1, 500, "c")
@@ -65,7 +71,7 @@ func TestQueuedBytesAccounting(t *testing.T) {
 // Drain a backlog of both classes and confirm DRR approximates the
 // configured shares (Fig. 14: 80% vs 10%+spare -> 80/20 split).
 func TestDRRShares(t *testing.T) {
-	s := NewPortScheduler(twoClasses(0.8, 0.1))
+	s := newScheduler(twoClasses(0.8, 0.1))
 	const wire = 4158
 	for i := 0; i < 4000; i++ {
 		s.Enqueue(0, wire, "tc1")
@@ -94,7 +100,7 @@ func TestDRRShares(t *testing.T) {
 // A class alone on the port gets all the bandwidth regardless of its share
 // (work conservation; Fig. 14 ramp after job 1 finishes).
 func TestWorkConservation(t *testing.T) {
-	s := NewPortScheduler(twoClasses(0.8, 0.1))
+	s := newScheduler(twoClasses(0.8, 0.1))
 	for i := 0; i < 100; i++ {
 		s.Enqueue(1, 4158, i)
 	}
@@ -114,7 +120,7 @@ func TestStrictPriority(t *testing.T) {
 		{Name: "low", Priority: 0, MinimalBias: 1},
 		{Name: "high", Priority: 5, MinimalBias: 1},
 	}}
-	s := NewPortScheduler(cfg)
+	s := newScheduler(cfg)
 	for i := 0; i < 10; i++ {
 		s.Enqueue(0, 100, "low")
 		s.Enqueue(1, 100, "high")
@@ -133,7 +139,7 @@ func TestStrictPriority(t *testing.T) {
 }
 
 func TestCreditBoundDequeue(t *testing.T) {
-	s := NewPortScheduler(DefaultConfig())
+	s := newScheduler(DefaultConfig())
 	s.Enqueue(0, 5000, "big")
 	s.Enqueue(0, 5000, "big2")
 	// Insufficient credit: nothing eligible.
@@ -149,7 +155,7 @@ func TestCreditBoundDequeue(t *testing.T) {
 
 func TestCompaction(t *testing.T) {
 	// Heavy enqueue/dequeue cycles must not leak (head compaction).
-	s := NewPortScheduler(DefaultConfig())
+	s := newScheduler(DefaultConfig())
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 200; i++ {
 			s.Enqueue(0, 64, i)
@@ -188,7 +194,7 @@ func TestDequeueProperties(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d: generated an invalid config: %v", trial, err)
 		}
-		s := NewPortScheduler(cfg)
+		s := newScheduler(cfg)
 		model := make([][]pkt, len(cfg.Classes)) // per-class FIFO shadow
 		next := 0
 		for op := 0; op < 400; op++ {

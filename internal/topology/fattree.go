@@ -94,7 +94,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		edges: edges,
 		aggs:  aggs,
 	}
-	f.initAdjacency(edges + aggs + cores)
+	f.reserve(f.nodes + edges*cfg.AggPerPod + aggs*cfg.CorePerAgg)
 
 	// Edge links: node n attaches to edge switch n / NodesPerEdge.
 	f.addEdgeLinks(f.nodes, cfg.NodesPerEdge)
@@ -105,7 +105,6 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 			for a := 0; a < cfg.AggPerPod; a++ {
 				es, as := f.edgeSwitch(p, e), f.aggSwitch(p, a)
 				f.addLink(LocalLink, es, as, -1)
-				f.addAdj(es, as)
 			}
 		}
 	}
@@ -117,10 +116,10 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 			for c := 0; c < cfg.CorePerAgg; c++ {
 				as, cs := f.aggSwitch(p, a), f.coreSwitch(a, c)
 				f.addLink(GlobalLink, as, cs, -1)
-				f.addAdj(as, cs)
 			}
 		}
 	}
+	f.initAdjacency(edges+aggs+cores, f.links)
 	return f, nil
 }
 

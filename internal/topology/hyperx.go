@@ -77,7 +77,12 @@ func NewHyperX(cfg HyperXConfig) (*HyperX, error) {
 		nodes:  sw * cfg.NodesPerSwitch,
 		stride: stride,
 	}
-	h.initAdjacency(sw)
+	// Each dimension of size s wires C(s, 2) links in each of its sw/s rows.
+	links := h.nodes
+	for _, s := range cfg.Dims {
+		links += sw / s * (s * (s - 1) / 2)
+	}
+	h.reserve(links)
 
 	// Edge links: node n attaches to switch n / NodesPerSwitch.
 	h.addEdgeLinks(h.nodes, cfg.NodesPerSwitch)
@@ -94,10 +99,10 @@ func NewHyperX(cfg HyperXConfig) (*HyperX, error) {
 			for t := c + 1; t < size; t++ {
 				a, b := SwitchID(s), SwitchID(s+(t-c)*stride[d])
 				h.addLink(kind, a, b, -1)
-				h.addAdj(a, b)
 			}
 		}
 	}
+	h.initAdjacency(sw, h.links)
 	return h, nil
 }
 

@@ -120,25 +120,55 @@ type adjacency struct {
 // topology is far below it, so their lookup path is unchanged.
 const denseAdjSwitches = 2048
 
-// initAdjacency sizes the structure for sw switches. The adjIndex rows
-// share one backing slice to keep the matrix a single allocation.
-func (m *adjacency) initAdjacency(sw int) {
+// initAdjacency builds the structure for sw switches from the
+// switch-to-switch links in discovery order, so each switch lists its
+// neighbours in the order their first link appears. Every row is carved
+// from one backing array per table with room for one neighbour per link
+// end, so no row regrows; the adjIndex rows likewise share one backing
+// slice.
+func (m *adjacency) initAdjacency(sw int, links []Link) {
 	m.sw = sw
 	m.diam = -1
-	m.adj = make([][]SwitchID, sw)
+	ends := make([]int, sw)
+	total := 0
+	for _, l := range links {
+		if l.Kind != EdgeLink {
+			ends[l.A]++
+			ends[l.B]++
+			total += 2
+		}
+	}
+	m.adj = carveRows[SwitchID](ends, total)
 	if sw > denseAdjSwitches {
-		m.nbSorted = make([][]SwitchID, sw)
-		m.nbSlot = make([][]int32, sw)
-		return
+		m.nbSorted = carveRows[SwitchID](ends, total)
+		m.nbSlot = carveRows[int32](ends, total)
+	} else {
+		m.adjIndex = make([][]int32, sw)
+		idx := make([]int32, sw*sw)
+		for i := range idx {
+			idx[i] = -1
+		}
+		for i := range m.adjIndex {
+			m.adjIndex[i] = idx[i*sw : (i+1)*sw]
+		}
 	}
-	m.adjIndex = make([][]int32, sw)
-	idx := make([]int32, sw*sw)
-	for i := range idx {
-		idx[i] = -1
+	for _, l := range links {
+		if l.Kind != EdgeLink {
+			m.addAdjDir(l.A, l.B)
+			m.addAdjDir(l.B, l.A)
+		}
 	}
-	for i := range m.adjIndex {
-		m.adjIndex[i] = idx[i*sw : (i+1)*sw]
+}
+
+// carveRows returns one empty row per count, each with that capacity,
+// carved from a single backing array of total elements.
+func carveRows[T any](counts []int, total int) [][]T {
+	backing := make([]T, total)
+	rows := make([][]T, len(counts))
+	for i, c := range counts {
+		rows[i], backing = backing[:0:c], backing[c:]
 	}
+	return rows
 }
 
 // lookup returns b's dense slot in a's neighbor list, or -1.
@@ -162,15 +192,9 @@ func (m *adjacency) lookup(a, b SwitchID) int32 {
 	return -1
 }
 
-// addAdj records a link between a and b in both directions of the
-// adjacency; parallel links add nothing past the first.
-func (m *adjacency) addAdj(a, b SwitchID) {
-	m.addAdjDir(a, b)
-	m.addAdjDir(b, a)
-}
-
 // addAdjDir makes b a neighbor of a, at the next index of a's neighbor
-// list, unless it already is one.
+// list, unless it already is one (parallel links add nothing past the
+// first).
 func (m *adjacency) addAdjDir(a, b SwitchID) {
 	if m.lookup(a, b) >= 0 {
 		return
@@ -279,6 +303,12 @@ func (m *adjacency) Diameter() int {
 // discovery order.
 type linkTable struct {
 	links []Link
+}
+
+// reserve sizes the store for a backend's known link count before the
+// first addLink, so building never regrows it.
+func (lt *linkTable) reserve(links int) {
+	lt.links = make([]Link, 0, links)
 }
 
 // addLink appends one link, returning its ID (the slice index).

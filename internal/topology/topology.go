@@ -184,10 +184,19 @@ func New(cfg Config) (*Dragonfly, error) {
 		rows:  rows,
 		cols:  cols,
 	}
-	d.initAdjacency(cfg.Groups * cfg.SwitchesPerGroup)
+	// Per group: a full mesh, or all-to-all inside each grid row and
+	// column; then GlobalPerPair links per pair of groups.
+	local := cols * (cols - 1) / 2 * rows
+	if cfg.Shape == Grid2D {
+		local += rows * (rows - 1) / 2 * cols
+	}
+	globals := cfg.Groups * (cfg.Groups - 1) / 2 * cfg.GlobalPerPair
+	d.reserve(d.nodes + cfg.Groups*local + globals)
+	// One spine holds every group's row of globalOut.
 	d.globalOut = make([][][]int, cfg.Groups)
+	spine := make([][]int, cfg.Groups*cfg.Groups)
 	for g := range d.globalOut {
-		d.globalOut[g] = make([][]int, cfg.Groups)
+		d.globalOut[g] = spine[g*cfg.Groups : (g+1)*cfg.Groups : (g+1)*cfg.Groups]
 	}
 
 	// Edge links: node n attaches to switch n / NodesPerSwitch.
@@ -195,10 +204,6 @@ func New(cfg Config) (*Dragonfly, error) {
 
 	// Local links: full mesh within each group, or — for Grid2D (Aries) —
 	// all-to-all inside each row and inside each column.
-	addLocal := func(a, b SwitchID) {
-		d.addLink(LocalLink, a, b, -1)
-		d.addAdj(a, b)
-	}
 	for g := 0; g < cfg.Groups; g++ {
 		base := SwitchID(g * cfg.SwitchesPerGroup)
 		for i := 0; i < cfg.SwitchesPerGroup; i++ {
@@ -211,28 +216,32 @@ func New(cfg Config) (*Dragonfly, error) {
 						continue
 					}
 				}
-				addLocal(base+SwitchID(i), base+SwitchID(j))
+				d.addLink(LocalLink, base+SwitchID(i), base+SwitchID(j), -1)
 			}
 		}
 	}
 
 	// Global links: GlobalPerPair parallel links between every pair of
 	// groups, each endpoint assigned round-robin over the group's switches.
+	// A pair's links take consecutive IDs, and both directions of the
+	// pair share one list of them, carved from one backing array.
 	rr := make([]int, cfg.Groups) // next switch index per group
+	ids := make([]int, 0, globals)
 	for g1 := 0; g1 < cfg.Groups; g1++ {
 		for g2 := g1 + 1; g2 < cfg.Groups; g2++ {
+			first := len(ids)
 			for k := 0; k < cfg.GlobalPerPair; k++ {
 				a := SwitchID(g1*cfg.SwitchesPerGroup + rr[g1])
 				b := SwitchID(g2*cfg.SwitchesPerGroup + rr[g2])
 				rr[g1] = (rr[g1] + 1) % cfg.SwitchesPerGroup
 				rr[g2] = (rr[g2] + 1) % cfg.SwitchesPerGroup
-				id := d.addLink(GlobalLink, a, b, -1)
-				d.addAdj(a, b)
-				d.globalOut[g1][g2] = append(d.globalOut[g1][g2], id)
-				d.globalOut[g2][g1] = append(d.globalOut[g2][g1], id)
+				ids = append(ids, d.addLink(GlobalLink, a, b, -1))
 			}
+			pair := ids[first:len(ids):len(ids)]
+			d.globalOut[g1][g2], d.globalOut[g2][g1] = pair, pair
 		}
 	}
+	d.initAdjacency(cfg.Groups*cfg.SwitchesPerGroup, d.links)
 	return d, nil
 }
 
@@ -272,7 +281,9 @@ func (d *Dragonfly) GroupOfNode(n NodeID) GroupID {
 	return d.GroupOf(d.SwitchOf(n))
 }
 
-// GlobalLinks returns the IDs of the global links between groups g1 and g2.
+// GlobalLinks returns the IDs of the global links between groups g1 and
+// g2. The slice is the topology's own (shared by both directions of the
+// pair); callers must not modify it.
 func (d *Dragonfly) GlobalLinks(g1, g2 GroupID) []int {
 	if g1 == g2 {
 		return nil

@@ -456,3 +456,28 @@ func TestLinkSlotBase(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkTablePresized pins each backend's link-count arithmetic: the
+// constructor sizes the link table up front, so a build that fills it
+// exactly never regrew it. Link IDs stay their slice indices.
+func TestLinkTablePresized(t *testing.T) {
+	topos := []Topology{
+		small(), smallFT(), leafSpine(), smallHX(),
+		MustNew(Config{Groups: 1, SwitchesPerGroup: 4, NodesPerSwitch: 2}),
+		MustNew(Config{Groups: 3, SwitchesPerGroup: 2, NodesPerSwitch: 1, GlobalPerPair: 3}),
+		MustNew(Config{Groups: 4, SwitchesPerGroup: 6, NodesPerSwitch: 2, GlobalPerPair: 1, Shape: Grid2D}),
+		MustBuild(HyperXConfig{Dims: []int{5}, NodesPerSwitch: 1}),
+		MustBuild(HyperXConfig{Dims: []int{2, 3, 4}, NodesPerSwitch: 2}),
+	}
+	for _, topo := range topos {
+		links := topo.Links()
+		if cap(links) != len(links) {
+			t.Errorf("%s: %d links in a table sized for %d", topo.Kind(), len(links), cap(links))
+		}
+		for i, l := range links {
+			if l.ID != i {
+				t.Fatalf("%s: link %d has ID %d", topo.Kind(), i, l.ID)
+			}
+		}
+	}
+}
