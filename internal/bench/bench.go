@@ -70,7 +70,7 @@ func Suite() []Row {
 		{"ParallelRun/d2", "packet", 2, packetBytes, 20_000, 150_000, parallelRun(2)},
 		{"ParallelRun/d4", "packet", 4, packetBytes, 20_000, 150_000, parallelRun(4)},
 		{"ParallelRun/d8", "packet", 8, packetBytes, 20_000, 150_000, parallelRun(8)},
-		// Last: its million-endpoint fabric holds ~0.65 GiB while it runs.
+		// Last: its million-endpoint fabric holds ~0.32 GiB while it runs.
 		{"FlowScale1M", "flow", 0, flowScaleBytes, 4_096, 60_000, flowScale1M},
 	}
 }
@@ -429,8 +429,9 @@ const flowScaleBytes = 16 << 20
 // the scale the paper's fabrics actually ship — the run the incremental
 // component solver exists for (a full re-solve touches 4M segments, the
 // component around one bisection flow a few hundred). At flow fidelity
-// the network builds no port plane: the build takes ~1 s and leaves a
-// ~0.65 GiB heap on a 2-vCPU Xeon VM.
+// the network builds no port plane, no NIC send queues and no fluid
+// segment records until flows cross them: topology and fabric build in
+// ~0.5 s and leave a ~0.32 GiB heap on a 2-vCPU Xeon VM.
 func flowScale1M() func(n int) {
 	topo := topology.MustNew(topology.Config{
 		Groups: 1024, SwitchesPerGroup: 64, NodesPerSwitch: 16, GlobalPerPair: 1,

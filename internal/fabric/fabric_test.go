@@ -245,6 +245,58 @@ func TestConcurrentDestinationsProgress(t *testing.T) {
 	}
 }
 
+// TestSendStateOnFirstSubmit pins where per-destination send state lives:
+// a NIC allocates it on its first submit and adds one record per
+// destination it uses, a NIC that only receives never allocates it, and
+// neither does any NIC of a flow-fidelity network, whose messages never
+// reach a NIC queue.
+func TestSendStateOnFirstSubmit(t *testing.T) {
+	n := quietNet(t, SlingshotProfile())
+	for k := 0; k < 2; k++ {
+		for d := 1; d < 8; d++ {
+			n.Send(0, topology.NodeID(d), 8192, SendOpts{})
+		}
+	}
+	n.Send(9, 0, 8192, SendOpts{})
+	n.Eng.Run()
+	s := n.NIC(0).send
+	if s == nil || len(s.dests) != 7 || len(s.order) != 0 {
+		t.Fatalf("sender 0: send state %+v, want 7 destination records and an empty order", s)
+	}
+	for i, d := range s.dests {
+		if s.slot[d.dst] != int32(i)+1 || len(d.msgs) != 0 || d.active {
+			t.Fatalf("sender 0: record %d (dst %d) has slot %d, %d queued, active %v",
+				i, d.dst, s.slot[d.dst], len(d.msgs), d.active)
+		}
+	}
+	if n.NIC(9).send == nil {
+		t.Fatal("sender 9 has no send state")
+	}
+	for _, id := range []topology.NodeID{1, 7, 10} {
+		if n.NIC(id).send != nil {
+			t.Fatalf("NIC %d only received but holds send state", id)
+		}
+	}
+
+	fl := quietNet(t, SlingshotProfile())
+	fl.SetFidelity(FidelityFlow)
+	for d := 1; d < 8; d++ {
+		fl.Send(0, topology.NodeID(d), 1<<20, SendOpts{})
+	}
+	fl.Eng.Run()
+	if fl.FlowsCompleted() != 7 {
+		t.Fatalf("flow fidelity completed %d of 7 transfers", fl.FlowsCompleted())
+	}
+	for id := 0; id < fl.Topo.Nodes(); id++ {
+		if fl.NIC(topology.NodeID(id)).send != nil {
+			t.Fatalf("flow-fidelity NIC %d holds send state", id)
+		}
+	}
+	if fl.flowBG != nil || fl.flowBGEdge != nil {
+		t.Fatal("flow fidelity built the hybrid background-load tables")
+	}
+}
+
 func TestPacketTapAndCounters(t *testing.T) {
 	n := quietNet(t, SlingshotProfile())
 	taps := 0

@@ -92,9 +92,9 @@ const (
 // packet stream saturating the link achieves.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fid = f
+	n.flowEng = nil
+	n.flowBG, n.flowBGEdge = nil, nil
 	if f == FidelityPacket {
-		n.flowEng = nil
-		n.flowBG, n.flowBGEdge = nil, nil
 		return
 	}
 	prof := &n.Prof
@@ -108,11 +108,15 @@ func (n *Network) SetFidelity(f Fidelity) {
 
 	// Background-load tables, one entry per link slot — the layout of the
 	// sharded epoch snapshot and of the fluid engine's fabric segments —
-	// plus one per node for the switch->node edge. Written only by
-	// publishFlowBG on the control engine; read by routing and enqueue
-	// thresholds, each port through the slot buildPorts stamped on it.
-	n.flowBG = make([]int64, n.slotBase[len(n.switches)])
-	n.flowBGEdge = make([]int64, n.Topo.Nodes())
+	// plus one per node for the switch->node edge. Only hybrid publishes
+	// background load, so only hybrid builds them; every reader treats
+	// nil as none. Written only by publishFlowBG on the control engine;
+	// read by routing and enqueue thresholds, each port through the slot
+	// buildPorts stamped on it.
+	if f == FidelityHybrid {
+		n.flowBG = make([]int64, n.slotBase[len(n.switches)])
+		n.flowBGEdge = make([]int64, n.Topo.Nodes())
+	}
 }
 
 // Fidelity returns the mode set by SetFidelity.

@@ -70,7 +70,7 @@ type Network struct {
 	// engine's fabric segments.
 	slotBase []int32
 	// slotOptical[slot] reports whether the link slot's hop is optical
-	// (a GlobalLink). It is built from the topology's links at
+	// (a GlobalLink). It is built from the topology's slot facts at
 	// construction, so propagation never needs the port plane.
 	slotOptical []bool
 
@@ -151,11 +151,8 @@ func (n *Network) build() {
 	prof := &n.Prof
 	n.slotBase = topology.LinkSlotBase(topo)
 	n.slotOptical = make([]bool, n.slotBase[topo.Switches()])
-	for _, l := range topo.Links() {
-		if l.Kind == topology.GlobalLink {
-			n.slotOptical[n.slot(l.A, l.B)] = true
-			n.slotOptical[n.slot(l.B, l.A)] = true
-		}
+	for slot := range n.slotOptical {
+		_, n.slotOptical[slot] = topo.SlotLinks(slot)
 	}
 	// The outer cache spine is sized here so sharded domains fault rows
 	// concurrently without ever touching a shared lazy allocation.
@@ -243,22 +240,19 @@ func (n *Network) buildPorts() {
 	n.ports = make([]outPort, 2*len(links))
 	scheds := qos.NewPortSchedulers(n.QoS, len(n.ports))
 
-	// width[slot] counts the parallel links behind a (switch, neighbour)
-	// slot; each slot's list gets exactly that capacity, so the appends
-	// below fill the lists in link order without growing them.
-	nslots := n.slotBase[len(n.switches)]
-	width := make([]int32, nslots)
+	// Each (switch, neighbour) slot's list gets exactly as much capacity
+	// as the slot has parallel links, so the appends below fill the lists
+	// in link order without growing them.
 	fabricPorts := 0
 	for _, l := range links {
 		if l.Kind != topology.EdgeLink {
-			width[n.slot(l.A, l.B)]++
-			width[n.slot(l.B, l.A)]++
 			fabricPorts += 2
 		}
 	}
-	lists := make([][]*outPort, nslots)
+	lists := make([][]*outPort, n.slotBase[len(n.switches)])
 	backing := make([]*outPort, fabricPorts)
-	for slot, w := range width {
+	for slot := range lists {
+		w, _ := topo.SlotLinks(slot)
 		lists[slot], backing = backing[:0:w], backing[w:]
 	}
 	edges := make([]*outPort, topo.Nodes())

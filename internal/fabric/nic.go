@@ -18,21 +18,35 @@ type NIC struct {
 	ID  topology.NodeID
 	cc  congestion.Controller
 	inj *outPort
-
-	// Per-destination send state, slice-indexed by destination node ID so
-	// the injection loop does zero map lookups. Allocated lazily on the
-	// first submit: NICs that only ever receive pay nothing.
-	queues [][]*Message
-	active []bool            // active[dst]: dst currently in order
-	order  []topology.NodeID // active destinations, round-robin
-	rr     int
-	// nextDataAt gates the start of the next rendezvous transfer per
-	// destination (sender-side completion/descriptor handling between
-	// bulk messages; see rendezvousMsgGap).
-	nextDataAt []sim.Time
+	// send is the per-destination send state, allocated by the first
+	// submit: a NIC that only ever receives, and every NIC of a
+	// flow-fidelity network, keeps it nil.
+	send *sendState
 
 	hostFreeAt sim.Time
 	pumpEv     *sim.Event
+}
+
+// sendState holds a sending NIC's per-destination queues. slot maps a
+// destination node to its record in dests (plus one, 0 for a destination
+// never sent to), so the injection loop does zero map lookups while a
+// NIC pays one record per destination it actually uses.
+type sendState struct {
+	slot  []int32
+	dests []destQueue
+	order []int32 // records of destinations with queued messages, round-robin
+	rr    int
+}
+
+// destQueue is one destination's send queue.
+type destQueue struct {
+	dst    topology.NodeID
+	msgs   []*Message
+	active bool // listed in order
+	// nextDataAt gates the start of the next rendezvous transfer to dst
+	// (sender-side completion/descriptor handling between bulk messages;
+	// see rendezvousMsgGap).
+	nextDataAt sim.Time
 }
 
 // injDepth keeps the injection queue shallow so congestion-control pacing
@@ -199,17 +213,23 @@ func (n *NIC) submit(m *Message) {
 	m.hostReady = n.hostFreeAt
 	m.dataReady = !m.Rendezvous
 
-	if n.queues == nil {
-		nodes := n.net.Topo.Nodes()
-		n.queues = make([][]*Message, nodes)
-		n.active = make([]bool, nodes)
-		n.nextDataAt = make([]sim.Time, nodes)
+	s := n.send
+	if s == nil {
+		s = &sendState{slot: make([]int32, n.net.Topo.Nodes())}
+		n.send = s
 	}
-	if !n.active[m.Dst] {
-		n.active[m.Dst] = true
-		n.order = append(n.order, m.Dst)
+	k := s.slot[m.Dst] - 1
+	if k < 0 {
+		k = int32(len(s.dests))
+		s.dests = append(s.dests, destQueue{dst: m.Dst})
+		s.slot[m.Dst] = k + 1
 	}
-	n.queues[m.Dst] = append(n.queues[m.Dst], m)
+	d := &s.dests[k]
+	if !d.active {
+		d.active = true
+		s.order = append(s.order, k)
+	}
+	d.msgs = append(d.msgs, m)
 	n.pump()
 }
 
@@ -267,11 +287,15 @@ func (n *NIC) schedulePump(at sim.Time) {
 // destinations. It returns nil with an optional retry time when nothing is
 // currently injectable.
 func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
+	s := n.send
+	if s == nil {
+		return nil, 0
+	}
 	var earliest sim.Time
-	for k := 0; k < len(n.order); k++ {
-		idx := (n.rr + k) % len(n.order)
-		dst := n.order[idx]
-		q := n.queues[dst]
+	for k := 0; k < len(s.order); k++ {
+		idx := (s.rr + k) % len(s.order)
+		d := &s.dests[s.order[idx]]
+		dst, q := d.dst, d.msgs
 		if len(q) == 0 {
 			continue
 		}
@@ -281,7 +305,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			mj := q[j]
 			if mj.Rendezvous && !mj.rtsSent && now >= mj.hostReady {
 				mj.rtsSent = true
-				n.rr = (idx + 1) % len(n.order)
+				s.rr = (idx + 1) % len(s.order)
 				p := n.dom.allocPacket()
 				p.Msg, p.Class, p.ctrl, p.sentAt = mj, mj.Class, true, now
 				return p, 0
@@ -300,7 +324,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			}
 			// Sender-side gap between consecutive bulk transfers.
 			if m.nextSeq == 0 {
-				if gate := n.nextDataAt[dst]; now < gate {
+				if gate := d.nextDataAt; now < gate {
 					if earliest == 0 || gate < earliest {
 						earliest = gate
 					}
@@ -330,7 +354,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 		m.nextSeq++
 		if m.nextSeq >= m.numPackets {
 			if m.Rendezvous {
-				n.nextDataAt[dst] = now + rendezvousMsgGap
+				d.nextDataAt = now + rendezvousMsgGap
 			}
 			// Fully injected: drop from the queue (completion is tracked
 			// by the message itself). The queue, a caller's window of
@@ -339,28 +363,25 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			// and pins no injected message.
 			copy(q, q[1:])
 			q[len(q)-1] = nil
-			n.queues[dst] = q[:len(q)-1]
+			d.msgs = q[:len(q)-1]
 			if len(q) == 1 {
-				n.active[dst] = false
-				n.removeOrder(dst)
+				d.active = false
+				s.removeOrder(idx)
 				// Note: rr now indexes a shifted slice; harmless for
 				// round-robin fairness.
 				return p, 0
 			}
 		}
-		n.rr = (idx + 1) % max(1, len(n.order))
+		s.rr = (idx + 1) % max(1, len(s.order))
 		return p, 0
 	}
 	return nil, earliest
 }
 
-func (n *NIC) removeOrder(dst topology.NodeID) {
-	for i, d := range n.order {
-		if d == dst {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			return
-		}
-	}
+// removeOrder drops the destination at position i of the round-robin
+// order.
+func (s *sendState) removeOrder(i int) {
+	s.order = append(s.order[:i], s.order[i+1:]...)
 }
 
 // retransmit re-injects a packet whose frame was lost in the fabric (the

@@ -35,11 +35,17 @@
 // The minimal-path cache is a map but is only ever keyed, never iterated.
 // No RNG, no wall clock.
 //
+// Segment state is built on first use: an engine starts with one index
+// entry per segment, and a segment's record (capacity, flow count, rate,
+// membership row, solver stamps) is created the first time a flow's path
+// crosses it, so a million-endpoint fabric pays only for the segments its
+// traffic touches.
+//
 // Steady-state epochs are alloc-free after warm-up: flow records are
-// free-listed, per-segment scratch (residual capacity, unfixed counts,
-// CSR flow lists, membership rows) lives in engine-owned slices that are
-// re-stamped rather than reallocated, and the callback heap reuses its
-// backing array.
+// free-listed, segment records persist once created, per-fill scratch
+// (residual capacity, unfixed counts, CSR flow lists) lives in
+// engine-owned slices that are re-stamped rather than reallocated, and
+// the callback heap reuses its backing array.
 package flow
 
 import (
@@ -88,14 +94,28 @@ type FlowOpts struct {
 type Flow struct {
 	id        int64
 	src, dst  topology.NodeID
-	remaining float64 // payload+overhead bytes left
-	rate      float64 // bits/s, assigned by the solver
-	segs      []int32 // directed segment indices, reused capacity
-	segPos    []int32 // this flow's slot in memb[segs[i]] (parallel to segs)
-	mark      int32   // component-BFS visit generation
+	remaining float64  // payload+overhead bytes left
+	rate      float64  // bits/s, assigned by the solver
+	proj      sim.Time // projected completion at rate, as of the engine clock
+	segs      []int32  // segment record indices (Engine.segs), reused capacity
+	segPos    []int32  // this flow's slot in segs[i]'s membership row
+	mark      int32    // component-BFS visit generation
 	extraLat  sim.Time
 	ackLat    sim.Time
 	arg       any
+}
+
+// segment is one directed segment's record, created the first time a
+// flow's path crosses the segment.
+type segment struct {
+	cap     float64     // effective bits/s
+	rate    float64     // solver-allocated bits/s (persistent, for BG export)
+	flows   int32       // live flow count (path choice)
+	stamp   int32       // last solver stamp that touched the segment
+	slot    int32       // the segment's slot in the current fill's touched arrays
+	dirty   int32       // dirty generation that last seeded the segment
+	inRated bool        // listed in Engine.rated
+	memb    []membEntry // active flows on the segment (component BFS)
 }
 
 // membEntry is one active flow's membership on a segment: the flow plus
@@ -125,14 +145,18 @@ type Engine struct {
 	topo  topology.Topology
 	Hooks Hooks
 
-	// Segment layout, fixed at construction: the fabric segments are the
-	// link slots (switch s's start at slotBase[s]), then come every
-	// node's edge-up segment from edgeUp and every node's edge-down
-	// segment from edgeDn, both indexed by node id.
-	segCap   []float64 // effective bits/s per segment
+	// Segment ids, fixed at construction: the fabric segments are the link
+	// slots (switch s's start at slotBase[s]), then come every node's
+	// edge-up segment from edgeUp and every node's edge-down segment from
+	// edgeDn, both indexed by node id. segIdx[id] is the id's record in
+	// segs plus one, or 0 while no flow has crossed the segment; records
+	// are appended on first crossing and never removed.
+	caps     Caps
 	slotBase []int32
 	edgeUp   int32
 	edgeDn   int32
+	segIdx   []int32
+	segs     []segment
 
 	// paths caches minimal-path candidates keyed by (src switch << 32 |
 	// dst switch). A map (lookups only, never iterated — determinism is
@@ -145,15 +169,12 @@ type Engine struct {
 	nextID   int64
 	nextSeq  int64
 
-	segFlows []int32       // live flow count per segment (path choice)
-	activeTo []int32       // active bulk flows per destination node
-	memb     [][]membEntry // active flows on each segment (component BFS)
+	activeTo []int32 // active bulk flows per destination node
 
 	// Dirty-seed tracking: segments touched by flow starts/finishes since
 	// the last solve, deduplicated by a generation mark.
 	dirty     bool
 	dirtySegs []int32
-	dirtyMark []int32
 	dirtyGen  int32
 	forceFull bool  // always re-solve from scratch (bench/test reference)
 	solved    bool  // a full solve has run; incremental patching is valid
@@ -161,11 +182,16 @@ type Engine struct {
 	visits    int64 // flows visited by Advance's and NextWake's O(active) passes
 	drained   bool  // Start admitted a flow with nothing left to send
 
+	// minProj is the earliest projected completion over the active flows
+	// unless projStale, which a rate change or a retirement may set; the
+	// next reader then rescans.
+	minProj   sim.Time
+	projStale bool
+	done      []int32 // active indices drained by the current progress pass
+
 	// Solver scratch, stamped per solve.
 	stamp    int32
 	visit    int32   // flow-mark generation for the component BFS
-	segStamp []int32 // last stamp that touched the segment
-	segSlot  []int32 // segment -> slot in the touched arrays
 	touched  []int32 // segments used by the current fill set
 	comp     []int32 // component BFS queue / segment list
 	order    []*Flow // fill working set, canonical id order
@@ -174,10 +200,8 @@ type Engine struct {
 	unfixed  []int32   // per-slot count of unfixed flows
 	csrStart []int32   // per-slot CSR bounds into csrFlow
 	csrPos   []int32
-	csrFlow  []int32   // order indices grouped by slot
-	segRate  []float64 // per-segment allocated bits/s (persistent, for BG export)
-	rated    []int32   // segments possibly carrying nonzero segRate
-	inRated  []bool    // rated-membership dedup
+	csrFlow  []int32 // order indices grouped by slot
+	rated    []int32 // segments possibly carrying nonzero rate
 
 	now        sim.Time
 	progressed float64 // whole+fractional bytes advanced since TakeProgress
@@ -196,39 +220,67 @@ func (o *byID) Len() int           { return len(o.f) }
 func (o *byID) Less(i, j int) bool { return o.f[i].id < o.f[j].id }
 func (o *byID) Swap(i, j int)      { o.f[i], o.f[j] = o.f[j], o.f[i] }
 
-// NewEngine builds the segment capacity tables for topo. Capacities pool
-// parallel links: a Dragonfly pair joined by two global links yields one
-// segment at twice FabricBits, which is how the packet engine's
-// round-robin over parallel ports behaves in aggregate.
+// NewEngine builds an engine over topo with no segment records: a
+// segment's record, capacity included, is created when a flow's path
+// first crosses it. Capacities pool parallel links: a Dragonfly pair
+// joined by two global links yields one segment at twice FabricBits,
+// which is how the packet engine's round-robin over parallel ports
+// behaves in aggregate.
 func NewEngine(topo topology.Topology, caps Caps) *Engine {
-	e := &Engine{topo: topo, dirtyGen: 1}
+	e := &Engine{topo: topo, caps: caps, dirtyGen: 1, minProj: sim.Forever}
 	e.paths = make(map[int64][]topology.Path)
 	nodes := topo.Nodes()
 	e.slotBase = topology.LinkSlotBase(topo)
 	base := e.slotBase[topo.Switches()]
 	e.edgeUp = base
 	e.edgeDn = base + int32(nodes)
-	nSeg := int(base) + 2*nodes
-	e.segCap = make([]float64, nSeg)
-	e.segFlows = make([]int32, nSeg)
-	e.segStamp = make([]int32, nSeg)
-	e.segSlot = make([]int32, nSeg)
-	e.segRate = make([]float64, nSeg)
-	e.inRated = make([]bool, nSeg)
-	e.dirtyMark = make([]int32, nSeg)
-	e.memb = make([][]membEntry, nSeg)
-	for _, lk := range topo.Links() {
-		switch lk.Kind {
-		case topology.EdgeLink:
-			e.segCap[e.edgeUp+int32(lk.Node)] = caps.EdgeBits
-			e.segCap[e.edgeDn+int32(lk.Node)] = caps.EdgeBits
-		case topology.LocalLink, topology.GlobalLink:
-			e.segCap[e.segOf(lk.A, lk.B)] += caps.FabricBits
-			e.segCap[e.segOf(lk.B, lk.A)] += caps.FabricBits
-		}
-	}
+	e.segIdx = make([]int32, int(base)+2*nodes)
 	e.activeTo = make([]int32, nodes)
 	return e
+}
+
+// capOf is segment id's capacity: EdgeBits on an edge segment, and on a
+// fabric slot FabricBits added once per parallel link.
+func (e *Engine) capOf(id int32) float64 {
+	if id >= e.edgeUp {
+		return e.caps.EdgeBits
+	}
+	links, _ := e.topo.SlotLinks(int(id))
+	c := 0.0
+	for i := 0; i < links; i++ {
+		c += e.caps.FabricBits
+	}
+	return c
+}
+
+// record returns segment id's record index, creating the record on the
+// first crossing.
+func (e *Engine) record(id int32) int32 {
+	if k := e.segIdx[id]; k > 0 {
+		return k - 1
+	}
+	e.segs = append(e.segs, segment{cap: e.capOf(id)})
+	k := int32(len(e.segs))
+	e.segIdx[id] = k
+	return k - 1
+}
+
+// rateOf returns the allocated rate and capacity of segment id; an
+// untouched segment carries nothing.
+func (e *Engine) rateOf(id int32) (rate, cap float64) {
+	if k := e.segIdx[id]; k > 0 {
+		sg := &e.segs[k-1]
+		return sg.rate, sg.cap
+	}
+	return 0, e.capOf(id)
+}
+
+// flowsOn returns the live flow count on segment id.
+func (e *Engine) flowsOn(id int32) int32 {
+	if k := e.segIdx[id]; k > 0 {
+		return e.segs[k-1].flows
+	}
+	return 0
 }
 
 // Now returns the engine's fluid clock (the last Advance target).
@@ -255,7 +307,7 @@ func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 // capacity. Valid after the last Advance/Start (the solver runs lazily;
 // call Resolve first if rates must be fresh).
 func (e *Engine) SegmentRate(slot int) (rate, cap float64) {
-	return e.segRate[slot], e.segCap[slot]
+	return e.rateOf(int32(slot))
 }
 
 // segOf returns the fabric segment of the directed link a->b.
@@ -266,26 +318,25 @@ func (e *Engine) segOf(a, b topology.SwitchID) int32 {
 // EdgeDownRate returns allocated bits/s and capacity on the switch->node
 // edge segment of n.
 func (e *Engine) EdgeDownRate(n topology.NodeID) (rate, cap float64) {
-	i := e.edgeDn + int32(n)
-	return e.segRate[i], e.segCap[i]
+	return e.rateOf(e.edgeDn + int32(n))
 }
 
 // EdgeUpRate returns allocated bits/s and capacity on the node->switch
 // edge segment of n.
 func (e *Engine) EdgeUpRate(n topology.NodeID) (rate, cap float64) {
-	i := e.edgeUp + int32(n)
-	return e.segRate[i], e.segCap[i]
+	return e.rateOf(e.edgeUp + int32(n))
 }
 
-// markDirty seeds the next solve's affected-component expansion with s.
+// markDirty seeds the next solve's affected-component expansion with
+// segment record s.
 //
 //simlint:hotpath
 func (e *Engine) markDirty(s int32) {
 	e.dirty = true
-	if e.dirtyMark[s] == e.dirtyGen {
+	if e.segs[s].dirty == e.dirtyGen {
 		return
 	}
-	e.dirtyMark[s] = e.dirtyGen
+	e.segs[s].dirty = e.dirtyGen
 	e.dirtySegs = append(e.dirtySegs, s)
 }
 
@@ -323,14 +374,16 @@ func (e *Engine) Start(src, dst topology.NodeID, bytes int64, opt FlowOpts) int6
 		e.drained = true
 	}
 	f.rate = 0
+	f.proj = sim.Forever
 	f.extraLat = opt.ExtraLatency
 	f.ackLat = opt.AckLatency
 	f.arg = opt.Arg
 	e.buildSegs(f)
 	for i, s := range f.segs {
-		e.segFlows[s]++
-		f.segPos = append(f.segPos, int32(len(e.memb[s])))
-		e.memb[s] = append(e.memb[s], membEntry{f: f, si: int32(i)}) //simlint:retained -- membership row; cleared on remove
+		sg := &e.segs[s]
+		sg.flows++
+		f.segPos = append(f.segPos, int32(len(sg.memb)))
+		sg.memb = append(sg.memb, membEntry{f: f, si: int32(i)}) //simlint:retained -- membership row; cleared on remove
 		e.markDirty(s)
 	}
 	e.activeTo[dst]++
@@ -353,20 +406,21 @@ func (e *Engine) alloc() *Flow {
 	return f
 }
 
-// buildSegs fills f.segs with the directed segments of the chosen path:
-// edge up, fabric hops, edge down.
+// buildSegs fills f.segs with the records of the chosen path's directed
+// segments — edge up, fabric hops, edge down — creating each record the
+// first time a path crosses its segment.
 func (e *Engine) buildSegs(f *Flow) {
 	f.segs = f.segs[:0]
 	f.segPos = f.segPos[:0]
-	f.segs = append(f.segs, e.edgeUp+int32(f.src))
+	f.segs = append(f.segs, e.record(e.edgeUp+int32(f.src)))
 	a, b := e.topo.SwitchOf(f.src), e.topo.SwitchOf(f.dst)
 	if a != b {
 		p := e.choosePath(a, b)
 		for i := 0; i+1 < len(p); i++ {
-			f.segs = append(f.segs, e.segOf(p[i], p[i+1]))
+			f.segs = append(f.segs, e.record(e.segOf(p[i], p[i+1])))
 		}
 	}
-	f.segs = append(f.segs, e.edgeDn+int32(f.dst))
+	f.segs = append(f.segs, e.record(e.edgeDn+int32(f.dst)))
 }
 
 // choosePath picks among the cached minimal candidates by current flow
@@ -379,7 +433,7 @@ func (e *Engine) choosePath(a, b topology.SwitchID) topology.Path {
 	for ci, p := range cands {
 		var mx, sum int32
 		for i := 0; i+1 < len(p); i++ {
-			n := e.segFlows[e.segOf(p[i], p[i+1])]
+			n := e.flowsOn(e.segOf(p[i], p[i+1]))
 			if n > mx {
 				mx = n
 			}
@@ -418,14 +472,15 @@ func (e *Engine) Candidates(a, b topology.SwitchID) []topology.Path {
 func (e *Engine) remove(i int) {
 	f := e.active[i]
 	for si, s := range f.segs {
-		e.segFlows[s]--
+		sg := &e.segs[s]
+		sg.flows--
 		// Membership swap-removal with back-pointer repair.
-		row := e.memb[s]
+		row := sg.memb
 		k := f.segPos[si]
 		last := len(row) - 1
 		row[k] = row[last]
 		row[last] = membEntry{}
-		e.memb[s] = row[:last]
+		sg.memb = row[:last]
 		if int(k) < last {
 			moved := row[k]
 			moved.f.segPos[moved.si] = k

@@ -155,7 +155,11 @@ func TestSolverMatchesReference(t *testing.T) {
 		e.Start(src, dst, 1<<20, FlowOpts{})
 	}
 	e.Resolve()
-	want := refSolve(e.active, e.segCap)
+	caps := make([]float64, len(e.segs))
+	for s, sg := range e.segs {
+		caps[s] = sg.cap
+	}
+	want := refSolve(e.active, caps)
 	for _, f := range e.active {
 		w := want[f.id]
 		if math.Abs(f.rate-w) > 1e-3*w+1 {
@@ -163,9 +167,9 @@ func TestSolverMatchesReference(t *testing.T) {
 		}
 	}
 	// Feasibility: allocated rate never exceeds any segment capacity.
-	for s, r := range e.segRate {
-		if r > e.segCap[s]*(1+1e-9)+1 {
-			t.Fatalf("segment %d oversubscribed: %g > %g", s, r, e.segCap[s])
+	for s, sg := range e.segs {
+		if sg.rate > sg.cap*(1+1e-9)+1 {
+			t.Fatalf("segment %d oversubscribed: %g > %g", s, sg.rate, sg.cap)
 		}
 	}
 }
@@ -285,11 +289,126 @@ func TestPathChoiceSpreads(t *testing.T) {
 	sw := e.topo.SwitchOf(src)
 	used := 0
 	for i := 0; i < e.topo.NeighborCount(sw); i++ {
-		if e.segFlows[e.slotBase[sw]+int32(i)] > 0 {
+		if e.flowsOn(e.slotBase[sw]+int32(i)) > 0 {
 			used++
 		}
 	}
 	if used < 2 {
 		t.Fatalf("all flows took one first hop; want spreading (used=%d)", used)
+	}
+}
+
+// eagerCaps rebuilds the capacity table an engine once filled eagerly
+// from topo.Links(): EdgeBits on both edge segments of every node, and
+// FabricBits added once per link on both directed slots of every
+// switch-to-switch link.
+func eagerCaps(e *Engine) []float64 {
+	caps := make([]float64, len(e.segIdx))
+	for _, lk := range e.topo.Links() {
+		switch lk.Kind {
+		case topology.EdgeLink:
+			caps[e.edgeUp+int32(lk.Node)] = e.caps.EdgeBits
+			caps[e.edgeDn+int32(lk.Node)] = e.caps.EdgeBits
+		case topology.LocalLink, topology.GlobalLink:
+			caps[e.segOf(lk.A, lk.B)] += e.caps.FabricBits
+			caps[e.segOf(lk.B, lk.A)] += e.caps.FabricBits
+		}
+	}
+	return caps
+}
+
+// checkCaps asserts every slot's and node's rate accessor reports the
+// eager capacity, and zero rate where no record exists.
+func checkCaps(t *testing.T, e *Engine, want []float64) {
+	t.Helper()
+	nodes := e.topo.Nodes()
+	for id := range want {
+		var rate, cap float64
+		switch {
+		case int32(id) < e.edgeUp:
+			rate, cap = e.SegmentRate(id)
+		case int32(id) < e.edgeDn:
+			rate, cap = e.EdgeUpRate(topology.NodeID(id - int(e.edgeUp)))
+		default:
+			rate, cap = e.EdgeDownRate(topology.NodeID(id - int(e.edgeDn)))
+		}
+		if cap != want[id] {
+			t.Fatalf("segment %d (of %d slots, %d nodes): capacity %g, eager table %g",
+				id, e.edgeUp, nodes, cap, want[id])
+		}
+		if e.segIdx[id] == 0 && rate != 0 {
+			t.Fatalf("untouched segment %d reports rate %g", id, rate)
+		}
+	}
+}
+
+// TestSegmentRecordsOnFirstCrossing pins the lazy segment table on the
+// three backends, one Dragonfly with parallel global links: a fresh engine
+// holds no records, a set of Starts creates records for exactly the
+// distinct segments their paths cross, and every segment's capacity —
+// record or not — equals the eager per-link sum.
+func TestSegmentRecordsOnFirstCrossing(t *testing.T) {
+	topos := map[string]topology.Topology{
+		"dragonfly": topology.MustBuild(topology.Config{
+			Groups: 3, SwitchesPerGroup: 1, NodesPerSwitch: 4, GlobalPerPair: 2,
+		}),
+		"fattree": topology.MustBuild(topology.FatTreeConfig{
+			Pods: 2, EdgePerPod: 2, AggPerPod: 2, CorePerAgg: 2, NodesPerEdge: 2,
+		}),
+		"hyperx": topology.MustBuild(topology.HyperXConfig{Dims: []int{3, 2}, NodesPerSwitch: 2}),
+	}
+	for name, topo := range topos {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(topo, Caps{EdgeBits: tEdge, FabricBits: tFabric})
+			e.Hooks = &recorder{}
+			if len(e.segs) != 0 {
+				t.Fatalf("fresh engine holds %d segment records", len(e.segs))
+			}
+			want := eagerCaps(e)
+			checkCaps(t, e, want)
+			if name == "dragonfly" {
+				pooled := false
+				for slot := int32(0); slot < e.edgeUp; slot++ {
+					pooled = pooled || want[slot] == 2*tFabric
+				}
+				if !pooled {
+					t.Fatal("no slot pools two parallel links")
+				}
+			}
+
+			nodes := topo.Nodes()
+			for i := 0; i < nodes; i += 3 {
+				e.Start(topology.NodeID(i), topology.NodeID((i*5+1)%nodes), 1<<20, FlowOpts{})
+			}
+			// Map records back to segment ids; every record must be crossed
+			// by some flow, and every flow's path must be edge up, fabric
+			// slots, edge down.
+			id := make([]int32, len(e.segs))
+			for s, k := range e.segIdx {
+				if k > 0 {
+					id[k-1] = int32(s)
+				}
+			}
+			crossed := map[int32]bool{}
+			for _, f := range e.active {
+				for i, k := range f.segs {
+					s := id[k]
+					switch {
+					case i == 0 && s != e.edgeUp+int32(f.src):
+						t.Fatalf("flow %d->%d starts on segment %d, not its edge up", f.src, f.dst, s)
+					case i == len(f.segs)-1 && s != e.edgeDn+int32(f.dst):
+						t.Fatalf("flow %d->%d ends on segment %d, not its edge down", f.src, f.dst, s)
+					case i > 0 && i < len(f.segs)-1 && s >= e.edgeUp:
+						t.Fatalf("flow %d->%d crosses edge segment %d mid-path", f.src, f.dst, s)
+					}
+					crossed[s] = true
+				}
+			}
+			if len(crossed) != len(e.segs) {
+				t.Fatalf("%d segment records for %d distinct crossed segments", len(e.segs), len(crossed))
+			}
+			e.Resolve()
+			checkCaps(t, e, want)
+		})
 	}
 }

@@ -32,7 +32,7 @@ func equivTopos(t *testing.T) map[string]func() topology.Topology {
 
 // compareEngines asserts both engines hold the identical solved state:
 // same active flows (by id) with bit-identical rates, and bit-identical
-// per-segment allocated rates.
+// allocated rates on every segment, read through the segment index.
 func compareEngines(t *testing.T, ref, inc *Engine, step int) {
 	t.Helper()
 	if len(ref.active) != len(inc.active) {
@@ -51,10 +51,11 @@ func compareEngines(t *testing.T, ref, inc *Engine, step int) {
 			t.Fatalf("step %d: flow %d rate %v (incremental) != %v (full)", step, f.id, f.rate, w)
 		}
 	}
-	for s := range ref.segRate {
-		if ref.segRate[s] != inc.segRate[s] {
-			t.Fatalf("step %d: segRate[%d] %v (full) != %v (incremental)",
-				step, s, ref.segRate[s], inc.segRate[s])
+	for s := range ref.segIdx {
+		r, _ := ref.rateOf(int32(s))
+		i, _ := inc.rateOf(int32(s))
+		if r != i {
+			t.Fatalf("step %d: segment %d rate %v (full) != %v (incremental)", step, s, r, i)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func (e *Engine) solve() {
 //simlint:hotpath
 func (e *Engine) solveFull() {
 	for _, s := range e.rated {
-		e.segRate[s] = 0
-		e.inRated[s] = false
+		e.segs[s].rate = 0
+		e.segs[s].inRated = false
 	}
 	e.rated = e.rated[:0]
 	e.order = append(e.order[:0], e.active...)
@@ -61,15 +61,15 @@ func (e *Engine) solveIncremental() {
 	e.stamp++
 	e.comp = e.comp[:0]
 	for _, s := range e.dirtySegs {
-		if e.segStamp[s] != e.stamp {
-			e.segStamp[s] = e.stamp
+		if e.segs[s].stamp != e.stamp {
+			e.segs[s].stamp = e.stamp
 			e.comp = append(e.comp, s)
 		}
 	}
 	e.visit++
 	e.order = e.order[:0]
 	for qi := 0; qi < len(e.comp); qi++ {
-		for _, me := range e.memb[e.comp[qi]] {
+		for _, me := range e.segs[e.comp[qi]].memb {
 			f := me.f
 			if f.mark == e.visit {
 				continue
@@ -77,8 +77,8 @@ func (e *Engine) solveIncremental() {
 			f.mark = e.visit
 			e.order = append(e.order, f)
 			for _, s2 := range f.segs {
-				if e.segStamp[s2] != e.stamp {
-					e.segStamp[s2] = e.stamp
+				if e.segs[s2].stamp != e.stamp {
+					e.segs[s2].stamp = e.stamp
 					e.comp = append(e.comp, s2)
 				}
 			}
@@ -88,7 +88,7 @@ func (e *Engine) solveIncremental() {
 	// finished flow vacated — drop to zero here); fill re-exports the
 	// component flows' contributions.
 	for _, s := range e.comp {
-		e.segRate[s] = 0
+		e.segs[s].rate = 0
 	}
 	e.sortOrder()
 	e.fill()
@@ -111,8 +111,8 @@ func (e *Engine) sortOrder() {
 // order (over the id-sorted working set) on engine-owned scratch, so the
 // result is deterministic — and independent of which superset of
 // components the working set spans, which is what makes the incremental
-// solve exact. Callers must have zeroed segRate over every segment the
-// working set touches.
+// solve exact. Callers must have zeroed the rate of every segment the
+// working set touches. Every filled flow is re-projected at its new rate.
 //
 //simlint:hotpath
 func (e *Engine) fill() {
@@ -126,9 +126,9 @@ func (e *Engine) fill() {
 	for _, f := range e.order {
 		f.rate = -1
 		for _, s := range f.segs {
-			if e.segStamp[s] != e.stamp {
-				e.segStamp[s] = e.stamp
-				e.segSlot[s] = int32(len(e.touched))
+			if sg := &e.segs[s]; sg.stamp != e.stamp {
+				sg.stamp = e.stamp
+				sg.slot = int32(len(e.touched))
 				e.touched = append(e.touched, s)
 			}
 		}
@@ -139,12 +139,12 @@ func (e *Engine) fill() {
 	e.csrStart = grow32(e.csrStart, ns+1)
 	e.csrPos = grow32(e.csrPos, ns)
 	for i, s := range e.touched {
-		e.resid[i] = e.segCap[s]
+		e.resid[i] = e.segs[s].cap
 		e.unfixed[i] = 0
 	}
 	for _, f := range e.order {
 		for _, s := range f.segs {
-			e.unfixed[e.segSlot[s]]++
+			e.unfixed[e.segs[s].slot]++
 		}
 	}
 
@@ -159,7 +159,7 @@ func (e *Engine) fill() {
 	e.csrFlow = grow32(e.csrFlow, total)
 	for fi, f := range e.order {
 		for _, s := range f.segs {
-			sl := e.segSlot[s]
+			sl := e.segs[s].slot
 			e.csrFlow[e.csrPos[sl]] = int32(fi)
 			e.csrPos[sl]++
 		}
@@ -192,23 +192,60 @@ func (e *Engine) fill() {
 			f.rate = share
 			remaining--
 			for _, s := range f.segs {
-				sl := e.segSlot[s]
+				sl := e.segs[s].slot
 				e.resid[sl] -= share
 				e.unfixed[sl]--
 			}
 		}
 	}
 
-	// Export per-segment allocated rates for background-load publication.
+	// Export per-segment allocated rates for background-load publication,
+	// and re-project each flow at its new rate.
 	for _, f := range e.order {
 		for _, s := range f.segs {
-			if !e.inRated[s] {
-				e.inRated[s] = true
+			sg := &e.segs[s]
+			if !sg.inRated {
+				sg.inRated = true
 				e.rated = append(e.rated, s)
 			}
-			e.segRate[s] += f.rate
+			sg.rate += f.rate
 		}
+		e.reproject(f)
 	}
+}
+
+// reproject sets f's projected completion after a rate change and keeps
+// minProj exact, or marks it stale when f may have held the minimum and
+// moved later.
+//
+//simlint:hotpath
+func (e *Engine) reproject(f *Flow) {
+	old := f.proj
+	f.proj = e.completionTime(f)
+	if f.proj < e.minProj {
+		e.minProj = f.proj
+	} else if old == e.minProj && f.proj != old {
+		e.projStale = true
+	}
+}
+
+// nextCompletion returns the earliest projected completion over the
+// active flows, rescanning them only when a rate change or a retirement
+// left the cached minimum stale.
+//
+//simlint:hotpath
+func (e *Engine) nextCompletion() sim.Time {
+	if e.projStale {
+		m := sim.Forever
+		e.visits += int64(len(e.active))
+		for _, f := range e.active {
+			if f.proj < m {
+				m = f.proj
+			}
+		}
+		e.minProj, e.projStale = m, false
+	}
+	return e.minProj
 }
 
 // completionTime projects when f drains at its current rate.
@@ -233,20 +270,16 @@ func (e *Engine) completionTime(f *Flow) sim.Time {
 // projected completion or pending callback, or — with a set change
 // pending — the present, requesting an immediate tick so the solve folds
 // in exactly once at the next Advance rather than once per Start.
-// Forever when idle.
+// Forever when idle. The projected completion is cached (see
+// nextCompletion), so NextWake is O(1) unless a rate change or a
+// retirement left the cache stale.
 //
 //simlint:hotpath
 func (e *Engine) NextWake() sim.Time {
 	if e.dirty {
 		return e.now
 	}
-	next := sim.Forever
-	e.visits += int64(len(e.active))
-	for _, f := range e.active {
-		if t := e.completionTime(f); t < next {
-			next = t
-		}
-	}
+	next := e.nextCompletion()
 	if len(e.cbs) > 0 && e.cbs[0].at < next {
 		next = e.cbs[0].at
 	}
@@ -264,12 +297,13 @@ func (e *Engine) NextWake() sim.Time {
 // event time instead of smearing back to the last tick. On a quiet call
 // with nothing due the early-out returns without scanning or solving.
 //
-// Cost rule: the O(active) passes — projecting the next completion,
-// integrating progress and retiring drained flows — run only on a lap
-// that moves the fluid clock (the retire pass also after Start admitted
-// an already-drained flow). An Advance to the present therefore costs
-// only the pending solve and the callbacks that are due, however many
-// flows stand.
+// Cost rule: a lap that moves the fluid clock makes one O(active) pass,
+// which integrates progress, collects the drained flows and re-projects
+// the rest at the new clock; the next step reads the cached earliest
+// projection. An Advance to the present therefore costs only the pending
+// solve and the callbacks that are due, however many flows stand. The
+// one exception is a lap after Start admitted an already-drained flow,
+// which scans the active set for it.
 //
 //simlint:hotpath
 func (e *Engine) Advance(to sim.Time) {
@@ -280,54 +314,39 @@ func (e *Engine) Advance(to sim.Time) {
 		if e.dirty {
 			e.solve()
 		}
-		// A flow drains only by progress (retired on the lap that moved
-		// the clock) or by starting empty (flagged by Start), so every
-		// other lap would scan the active set for nothing.
-		retire := e.drained
+		moved := false
 		if to > e.now {
 			// Next rate-change boundary: the earliest projected completion.
 			step := to
-			e.visits += int64(len(e.active))
-			for _, f := range e.active {
-				if t := e.completionTime(f); t < step {
-					step = t
-				}
+			if t := e.nextCompletion(); t < step {
+				step = t
 			}
 			if len(e.cbs) > 0 && e.cbs[0].at < step {
 				step = e.cbs[0].at
 			}
 			if step > e.now {
-				dt := float64(step-e.now) / 8e12 // ps -> bytes/bit-rate factor
-				e.visits += int64(len(e.active))
-				for _, f := range e.active {
-					d := f.rate * dt
-					if d > f.remaining {
-						d = f.remaining
-					}
-					f.remaining -= d
-					e.progressed += d
-				}
-				e.now = step
-				retire = true
+				e.progress(step)
+				moved = true
 			}
 		}
-		if retire {
+		switch {
+		case moved:
+			// Retire in descending index order: each swap-removal then
+			// moves an already-visited survivor, exactly as a backward scan
+			// would.
 			e.drained = false
-			// Retire drained flows (scan backwards so swap-removal keeps
-			// unvisited entries stable).
+			for k := len(e.done) - 1; k >= 0; k-- {
+				e.retire(int(e.done[k]))
+			}
+		case e.drained:
+			// A flow drains without progress only by starting empty.
+			e.drained = false
+			e.projStale = true
 			e.visits += int64(len(e.active))
 			for i := len(e.active) - 1; i >= 0; i-- {
-				f := e.active[i]
-				if f.remaining > completionEps {
-					continue
+				if e.active[i].remaining <= completionEps {
+					e.retire(i)
 				}
-				// Credit the sub-epsilon residue so delivered-byte accounting
-				// sums exactly to the payload.
-				e.progressed += f.remaining
-				f.remaining = 0
-				e.pushCB(pendingCB{at: e.now + f.extraLat, seq: e.seq(), arg: f.arg})
-				e.pushCB(pendingCB{at: e.now + f.extraLat + f.ackLat, seq: e.seq(), ack: true, arg: f.arg})
-				e.remove(i)
 			}
 		}
 		// Fire due callbacks.
@@ -343,6 +362,50 @@ func (e *Engine) Advance(to sim.Time) {
 			return
 		}
 	}
+}
+
+// progress moves the fluid clock to step in one pass over the active
+// flows: each advances at its rate, a drained one is collected in done,
+// and the rest are re-projected at the new clock, leaving minProj exact.
+//
+//simlint:hotpath
+func (e *Engine) progress(step sim.Time) {
+	dt := float64(step-e.now) / 8e12 // ps -> bytes/bit-rate factor
+	e.now = step
+	e.done = e.done[:0]
+	m := sim.Forever
+	e.visits += int64(len(e.active))
+	for i, f := range e.active {
+		d := f.rate * dt
+		if d > f.remaining {
+			d = f.remaining
+		}
+		f.remaining -= d
+		e.progressed += d
+		if f.remaining <= completionEps {
+			e.done = append(e.done, int32(i))
+			continue
+		}
+		f.proj = e.completionTime(f)
+		if f.proj < m {
+			m = f.proj
+		}
+	}
+	e.minProj, e.projStale = m, false
+}
+
+// retire completes the drained flow at active[i]: it credits the
+// sub-epsilon residue so delivered-byte accounting sums exactly to the
+// payload, queues both callbacks and removes the flow.
+//
+//simlint:hotpath
+func (e *Engine) retire(i int) {
+	f := e.active[i]
+	e.progressed += f.remaining
+	f.remaining = 0
+	e.pushCB(pendingCB{at: e.now + f.extraLat, seq: e.seq(), arg: f.arg})
+	e.pushCB(pendingCB{at: e.now + f.extraLat + f.ackLat, seq: e.seq(), ack: true, arg: f.arg})
+	e.remove(i)
 }
 
 func (e *Engine) seq() int64 {

@@ -43,6 +43,11 @@ type Topology interface {
 	NeighborIndex(a, b SwitchID) int
 	NeighborCount(SwitchID) int
 	Neighbors(SwitchID) []SwitchID
+	// SlotLinks reports, for a directed link slot (see LinkSlotBase), how
+	// many parallel links join the switch to that neighbour and whether
+	// any of them is a GlobalLink. The facts are built with the adjacency,
+	// so per-slot tables need no pass over Links().
+	SlotLinks(slot int) (links int, global bool)
 
 	// Routing candidates. NonMinimalPaths builds in the caller's arena.
 	MinimalPaths(src, dst SwitchID, max int) []Path
@@ -111,8 +116,18 @@ type adjacency struct {
 	adjIndex [][]int32
 	nbSorted [][]SwitchID
 	nbSlot   [][]int32
+	// slots[k] holds the facts of directed link slot k (LinkSlotBase
+	// numbering).
+	slots []slotFacts
 	// diam caches the BFS diameter (-1 until first asked for).
 	diam int
+}
+
+// slotFacts are one directed link slot's facts: how many parallel links
+// join the switch pair, and whether any of them is a GlobalLink.
+type slotFacts struct {
+	links  int32
+	global bool
 }
 
 // denseAdjSwitches is the largest switch count that keeps the dense
@@ -125,23 +140,28 @@ const denseAdjSwitches = 2048
 // neighbours in the order their first link appears. Every row is carved
 // from one backing array per table with room for one neighbour per link
 // end, so no row regrows; the adjIndex rows likewise share one backing
-// slice.
+// slice. The slot facts are counted at the same link-end offsets and then
+// packed down to the dense slot numbering.
 func (m *adjacency) initAdjacency(sw int, links []Link) {
 	m.sw = sw
 	m.diam = -1
-	ends := make([]int, sw)
-	total := 0
+	// ends[s] is switch s's link-end offset into the row backing arrays
+	// (parallel links counted).
+	ends := make([]int32, sw+1)
 	for _, l := range links {
 		if l.Kind != EdgeLink {
-			ends[l.A]++
-			ends[l.B]++
-			total += 2
+			ends[l.A+1]++
+			ends[l.B+1]++
 		}
 	}
-	m.adj = carveRows[SwitchID](ends, total)
+	for s := 0; s < sw; s++ {
+		ends[s+1] += ends[s]
+	}
+	total := int(ends[sw])
+	m.adj = carveRows[SwitchID](ends)
 	if sw > denseAdjSwitches {
-		m.nbSorted = carveRows[SwitchID](ends, total)
-		m.nbSlot = carveRows[int32](ends, total)
+		m.nbSorted = carveRows[SwitchID](ends)
+		m.nbSlot = carveRows[int32](ends)
 	} else {
 		m.adjIndex = make([][]int32, sw)
 		idx := make([]int32, sw*sw)
@@ -152,21 +172,36 @@ func (m *adjacency) initAdjacency(sw int, links []Link) {
 			m.adjIndex[i] = idx[i*sw : (i+1)*sw]
 		}
 	}
+	m.slots = make([]slotFacts, total)
 	for _, l := range links {
-		if l.Kind != EdgeLink {
-			m.addAdjDir(l.A, l.B)
-			m.addAdjDir(l.B, l.A)
+		if l.Kind == EdgeLink {
+			continue
+		}
+		for _, d := range [2][2]SwitchID{{l.A, l.B}, {l.B, l.A}} {
+			f := &m.slots[ends[d[0]]+m.addAdjDir(d[0], d[1])]
+			f.links++
+			f.global = f.global || l.Kind == GlobalLink
 		}
 	}
+	// Pack each switch's facts down to its dense slots. A switch's dense
+	// base never exceeds its link-end offset, so the copy only moves
+	// entries left over ones already packed.
+	next := int32(0)
+	for s := 0; s < sw; s++ {
+		k := int32(len(m.adj[s]))
+		copy(m.slots[next:next+k], m.slots[ends[s]:ends[s]+k])
+		next += k
+	}
+	m.slots = m.slots[:next]
 }
 
-// carveRows returns one empty row per count, each with that capacity,
-// carved from a single backing array of total elements.
-func carveRows[T any](counts []int, total int) [][]T {
-	backing := make([]T, total)
-	rows := make([][]T, len(counts))
-	for i, c := range counts {
-		rows[i], backing = backing[:0:c], backing[c:]
+// carveRows returns one empty row per switch, row s with capacity
+// offsets[s+1]-offsets[s], carved from a single backing array.
+func carveRows[T any](offsets []int32) [][]T {
+	backing := make([]T, offsets[len(offsets)-1])
+	rows := make([][]T, len(offsets)-1)
+	for i := range rows {
+		rows[i] = backing[offsets[i]:offsets[i]:offsets[i+1]]
 	}
 	return rows
 }
@@ -194,10 +229,10 @@ func (m *adjacency) lookup(a, b SwitchID) int32 {
 
 // addAdjDir makes b a neighbor of a, at the next index of a's neighbor
 // list, unless it already is one (parallel links add nothing past the
-// first).
-func (m *adjacency) addAdjDir(a, b SwitchID) {
-	if m.lookup(a, b) >= 0 {
-		return
+// first), and returns b's index in a's list.
+func (m *adjacency) addAdjDir(a, b SwitchID) int32 {
+	if i := m.lookup(a, b); i >= 0 {
+		return i
 	}
 	i := int32(len(m.adj[a]))
 	if m.adjIndex != nil {
@@ -216,6 +251,7 @@ func (m *adjacency) addAdjDir(a, b SwitchID) {
 		m.nbSorted[a], m.nbSlot[a] = row, slot
 	}
 	m.adj[a] = append(m.adj[a], b)
+	return i
 }
 
 // localAdjacent reports whether two distinct switches share a direct link.
@@ -237,6 +273,13 @@ func (m *adjacency) NeighborIndex(a, b SwitchID) int {
 
 // NeighborCount returns the number of switches adjacent to s.
 func (m *adjacency) NeighborCount(s SwitchID) int { return len(m.adj[s]) }
+
+// SlotLinks returns the parallel-link count and global flag of a directed
+// link slot (LinkSlotBase numbering).
+func (m *adjacency) SlotLinks(slot int) (links int, global bool) {
+	f := m.slots[slot]
+	return int(f.links), f.global
+}
 
 // Neighbors returns the switches adjacent to s, in deterministic
 // link-discovery order (the same order NeighborIndex indexes).

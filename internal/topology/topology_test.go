@@ -457,6 +457,52 @@ func TestLinkSlotBase(t *testing.T) {
 	}
 }
 
+// TestSlotLinks checks the per-slot facts the adjacency records against
+// a count over Links() on all three backends, with parallel global links
+// between one switch pair, and above denseAdjSwitches, where lookups take
+// the sorted-row path: each slot reports its parallel-link count and
+// whether any of those links is global.
+func TestSlotLinks(t *testing.T) {
+	cases := []struct {
+		topo     Topology
+		parallel bool // some slot pools several links
+	}{
+		{small(), false}, {smallFT(), false}, {leafSpine(), false}, {smallHX(), false},
+		{MustNew(Config{Groups: 3, SwitchesPerGroup: 1, NodesPerSwitch: 2, GlobalPerPair: 2}), true},
+		{MustNew(Config{Groups: 3, SwitchesPerGroup: 2, NodesPerSwitch: 1, GlobalPerPair: 3}), true},
+		{MustNew(Config{Groups: 65, SwitchesPerGroup: 32, NodesPerSwitch: 1, GlobalPerPair: 1}), false},
+	}
+	for _, c := range cases {
+		topo := c.topo
+		base := LinkSlotBase(topo)
+		links := make([]int, base[topo.Switches()])
+		global := make([]bool, len(links))
+		for _, l := range topo.Links() {
+			if l.Kind == EdgeLink {
+				continue
+			}
+			for _, d := range [][2]SwitchID{{l.A, l.B}, {l.B, l.A}} {
+				slot := base[d[0]] + int32(topo.NeighborIndex(d[0], d[1]))
+				links[slot]++
+				global[slot] = global[slot] || l.Kind == GlobalLink
+			}
+		}
+		parallel := false
+		for slot := range links {
+			n, g := topo.SlotLinks(slot)
+			if n != links[slot] || g != global[slot] {
+				t.Fatalf("%s (%d switches): slot %d reports %d links, global %v; Links() counts %d, %v",
+					topo.Kind(), topo.Switches(), slot, n, g, links[slot], global[slot])
+			}
+			parallel = parallel || n > 1
+		}
+		if parallel != c.parallel {
+			t.Fatalf("%s (%d switches): some slot pools parallel links = %v, want %v",
+				topo.Kind(), topo.Switches(), parallel, c.parallel)
+		}
+	}
+}
+
 // TestLinkTablePresized pins each backend's link-count arithmetic: the
 // constructor sizes the link table up front, so a build that fills it
 // exactly never regrew it. Link IDs stay their slice indices.
