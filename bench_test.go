@@ -198,11 +198,11 @@ func BenchmarkTableIApplications(b *testing.B) {
 func BenchmarkAblationCongestionControl(b *testing.B) {
 	kinds := []struct {
 		name string
-		cc   congestion.Builder
+		cc   congestion.Kind
 	}{
-		{"slingshot", congestion.BuilderFor(congestion.Slingshot)},
-		{"ecn", congestion.BuilderFor(congestion.ECNLike)},
-		{"none", congestion.BuilderFor(congestion.None)},
+		{"slingshot", congestion.Slingshot},
+		{"ecn", congestion.ECNLike},
+		{"none", congestion.None},
 	}
 	base := harness.Crystal(72)
 	for _, k := range kinds {

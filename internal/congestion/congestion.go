@@ -163,11 +163,6 @@ type Controller interface {
 	Stats() *Stats
 }
 
-// Builder constructs a fresh Controller. Each NIC gets its own instance,
-// so controllers never share state across endpoints (or across networks
-// built in parallel).
-type Builder func() Controller
-
 // TargetCalibrator is implemented by controllers whose setpoint should
 // track the topology rather than a fixed constant. The fabric calls
 // CalibrateTarget once per NIC at build time with a quiet-RTT oracle:
@@ -181,7 +176,9 @@ type TargetCalibrator interface {
 	CalibrateTarget(base func(dst topology.NodeID) sim.Time)
 }
 
-// NewController returns a controller of the given kind.
+// NewController returns a fresh controller of the given kind. Each NIC
+// gets its own, so controllers never share state across endpoints (or
+// across networks built in parallel).
 func NewController(kind Kind) Controller {
 	b := base{initWindow: InitialWindow}
 	switch kind {
@@ -196,24 +193,19 @@ func NewController(kind Kind) Controller {
 	}
 }
 
-// BuilderFor returns a Builder producing controllers of the given kind.
-func BuilderFor(kind Kind) Builder {
-	return func() Controller { return NewController(kind) }
-}
-
 // kinds is the single list of selectable algorithms ByName and Names
 // derive from; a new backend is added here (plus Kind.String and
 // NewController's dispatch).
 var kinds = [...]Kind{None, Slingshot, ECNLike, Delay}
 
-// ByName returns a Builder for an algorithm name.
-func ByName(name string) (Builder, error) {
+// ByName returns the algorithm with the given name.
+func ByName(name string) (Kind, error) {
 	for _, k := range kinds {
 		if k.String() == name {
-			return BuilderFor(k), nil
+			return k, nil
 		}
 	}
-	return nil, fmt.Errorf("congestion: unknown algorithm %q (have %v)", name, Names())
+	return 0, fmt.Errorf("congestion: unknown algorithm %q (have %v)", name, Names())
 }
 
 // Names lists the selectable algorithm names, sorted.

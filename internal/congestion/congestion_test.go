@@ -40,11 +40,11 @@ func TestAlgorithmAndHooks(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"none", "slingshot", "ecn", "delay"} {
-		b, err := ByName(name)
+		k, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if got := b().Algorithm(); got != name {
+		if got := NewController(k).Algorithm(); got != name {
 			t.Errorf("ByName(%q) builds %q", name, got)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 )
 
 // fatTree25G builds the comparison cluster at the given size, dialled
-// down to 25 Gb/s links, with each NIC's controller built by cc.
-func fatTree25G(nodes int, cc congestion.Builder) *Network {
+// down to 25 Gb/s links, with each NIC running a cc controller.
+func fatTree25G(nodes int, cc congestion.Kind) *Network {
 	p := FatTree100GProfile()
 	p.CC = cc
 	p.EdgeBits = 25e9
@@ -27,13 +27,15 @@ func fatTree25G(nodes int, cc congestion.Builder) *Network {
 	return New(topology.MustBuild(topology.FatTreeFor(nodes)), p, 7)
 }
 
-// uncalibrated hides the CalibrateTarget method behind the plain
-// Controller interface, so the fabric's build-time wiring cannot reach
-// it — the controller runs with the fixed TargetRTT floor.
-func uncalibrated(kind congestion.Kind) congestion.Builder {
-	return func() congestion.Controller {
-		return struct{ congestion.Controller }{congestion.NewController(kind)}
+// uncalibrated replaces every NIC's controller, after the fabric's
+// build-time wiring has run, with a fresh one of the same kind behind
+// the plain Controller interface, which hides CalibrateTarget: the
+// controllers run with the fixed TargetRTT floor.
+func uncalibrated(n *Network) *Network {
+	for _, nic := range n.nics {
+		nic.cc = struct{ congestion.Controller }{congestion.NewController(n.Prof.CC)}
 	}
+	return n
 }
 
 // streamQuiet runs a window-limited stream of 64 KiB messages from node
@@ -68,8 +70,7 @@ func streamQuiet(t *testing.T, n *Network) (sim.Time, congestion.Controller) {
 }
 
 func TestQuietRTTTracksTopology(t *testing.T) {
-	delay := congestion.BuilderFor(congestion.Delay)
-	n := fatTree25G(1024, delay)
+	n := fatTree25G(1024, congestion.Delay)
 	win := congestion.InitialWindow
 	near := n.quietRTT(0, 1, win)                                // same switch
 	far := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win) // cross-pod
@@ -87,7 +88,7 @@ func TestQuietRTTTracksTopology(t *testing.T) {
 	if again := n.quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); again != far {
 		t.Errorf("quiet RTT unstable: %v then %v", far, again)
 	}
-	if other := fatTree25G(1024, delay).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
+	if other := fatTree25G(1024, congestion.Delay).quietRTT(0, topology.NodeID(n.Topo.Nodes()-1), win); other != far {
 		t.Errorf("quiet RTT differs across identical builds: %v vs %v", far, other)
 	}
 }
@@ -96,8 +97,7 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// Calibrated controllers on the big tree: the raised per-destination
 	// target absorbs the quiet base RTT, so a quiet stream sees no cuts
 	// and keeps the full window.
-	delay := congestion.BuilderFor(congestion.Delay)
-	big := fatTree25G(1024, delay)
+	big := fatTree25G(1024, congestion.Delay)
 	bigFinish, cc := streamQuiet(t, big)
 	if s := cc.Stats().TotalSignals; s != 0 {
 		t.Errorf("calibrated controller cut %d times on a quiet path, want 0", s)
@@ -109,7 +109,7 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 
 	// The same stream on a small tree finishes in about the same time:
 	// throughput is scale-invariant once the target tracks the topology.
-	small := fatTree25G(64, delay)
+	small := fatTree25G(64, congestion.Delay)
 	smallFinish, _ := streamQuiet(t, small)
 	if ratio := float64(bigFinish) / float64(smallFinish); ratio > 1.1 {
 		t.Errorf("calibrated stream slows down %.2fx from 64 to 1024 nodes, want scale-invariance", ratio)
@@ -118,7 +118,7 @@ func TestDelayCCCalibrationStopsOverthrottle(t *testing.T) {
 	// An uncalibrated controller on the same big tree reads the base RTT
 	// as standing queue: repeated spurious cuts collapse the window and
 	// the quiet stream runs several times slower.
-	uncal := fatTree25G(1024, uncalibrated(congestion.Delay))
+	uncal := uncalibrated(fatTree25G(1024, congestion.Delay))
 	uncalFinish, uncc := streamQuiet(t, uncal)
 	if s := uncc.Stats().TotalSignals; s == 0 {
 		t.Fatalf("uncalibrated controller saw no delay cuts; the over-throttle regime is gone")

@@ -121,15 +121,13 @@ func TestPropertyCreditsBalance(t *testing.T) {
 			t.Errorf("%s: port still busy after drain", where)
 		}
 	}
-	for _, sw := range n.switches {
-		for _, ports := range sw.ports {
-			for _, o := range ports {
-				check(o, "switch port")
-			}
+	for _, ports := range n.slotPorts {
+		for _, o := range ports {
+			check(o, "switch port")
 		}
-		for _, o := range sw.edge {
-			check(o, "edge port")
-		}
+	}
+	for _, o := range n.edgePorts {
+		check(o, "edge port")
 	}
 	for _, nic := range n.nics {
 		check(nic.inj, "injection port")

@@ -144,19 +144,19 @@ func (d *domain) deferTap(at sim.Time, p *Packet) {
 //simlint:hotpath
 func (d *domain) QueuedTo(a, b topology.SwitchID) int64 {
 	n := d.net
-	nb := n.Topo.NeighborIndex(a, b)
+	slot := n.Topo.Slot(a, b)
 	var q int64
-	if sw := n.switches[a]; sw.dom == d {
-		_, q = leastLoaded(sw.ports[nb])
+	if n.switches[a].dom == d {
+		_, q = leastLoaded(n.slotPorts[slot])
 	} else {
-		q = n.snap[n.slotBase[a]+int32(nb)]
+		q = n.snap[slot]
 	}
 	if n.flowBG != nil {
 		// Fluid background load: written only between epochs on the
 		// control engine (see flowTicker), so shard-time reads here can
 		// never observe a torn or mid-publication value — the same
 		// barrier discipline as the snapshot above.
-		q += n.flowBG[n.slotBase[a]+int32(nb)]
+		q += n.flowBG[slot]
 	}
 	return q
 }
@@ -171,9 +171,9 @@ func (d *domain) QueuedTo(a, b topology.SwitchID) int64 {
 func (d *domain) refreshSnapshot() {
 	n := d.net
 	for _, s := range d.switches {
-		off := n.slotBase[s.ID]
-		for i, ports := range s.ports {
-			_, n.snap[off+int32(i)] = leastLoaded(ports)
+		lo, hi := n.Topo.SlotBase(s.ID), n.Topo.SlotBase(s.ID+1)
+		for i, ports := range n.slotPorts[lo:hi] {
+			_, n.snap[lo+i] = leastLoaded(ports)
 		}
 	}
 }
@@ -258,7 +258,7 @@ func (n *Network) initDomains(workers int) {
 		nic.dom = n.switches[n.Topo.SwitchOf(nic.ID)].dom
 	}
 	// The remote-load snapshot: one entry per link slot.
-	n.snap = make([]int64, n.slotBase[len(n.switches)])
+	n.snap = make([]int64, n.Topo.SlotBase(topology.SwitchID(len(n.switches))))
 
 	n.par = par.New(shards, n.Eng, part.MinCutLatency, workers)
 	n.par.Hooks = n

@@ -114,7 +114,7 @@ func (n *Network) SetFidelity(f Fidelity) {
 	// read by routing and enqueue thresholds, each port through the slot
 	// buildPorts stamped on it.
 	if f == FidelityHybrid {
-		n.flowBG = make([]int64, n.slotBase[len(n.switches)])
+		n.flowBG = make([]int64, n.Topo.SlotBase(topology.SwitchID(len(n.switches))))
 		n.flowBGEdge = make([]int64, n.Topo.Nodes())
 	}
 }

@@ -38,9 +38,15 @@ type Network struct {
 	nics     []*NIC
 	// ports is the port table: topology link l's two directions are
 	// ports 2l and 2l+1 (switch->NIC then NIC->switch for an edge link,
-	// A->B then B->A for a fabric link). nil until buildPorts builds the
-	// port plane; never resized after.
-	ports []outPort
+	// A->B then B->A for a fabric link). slotPorts[slot] lists the
+	// egress ports of a link slot (Topology.Slot), one per parallel link
+	// in link order, and edgePorts[node] is the switch's egress port
+	// towards that node. All three are nil until buildPorts builds the
+	// port plane, and never resized after.
+	ports     []outPort
+	slotPorts [][]*outPort
+	edgePorts []*outPort
+
 	msgID int64
 	// wantSignals/wantECN cache the congestion algorithm's fabric-side
 	// hooks (congestion.Hooks), so the per-packet enqueue path reads two
@@ -64,15 +70,6 @@ type Network struct {
 	// allocator in congestion-grid cells with co-located ranks. Read-only
 	// after build, like the minPaths entries.
 	selfPaths []topology.Path
-	// slotBase numbers the directed switch-to-switch links
-	// (topology.LinkSlotBase): the sharded load snapshot, the fluid
-	// background-load table and slotOptical index by it, as do the fluid
-	// engine's fabric segments.
-	slotBase []int32
-	// slotOptical[slot] reports whether the link slot's hop is optical
-	// (a GlobalLink). It is built from the topology's slot facts at
-	// construction, so propagation never needs the port plane.
-	slotOptical []bool
 
 	// Sharding state (see domain.go). doms always has at least the one
 	// classic domain; par is nil in classic mode.
@@ -149,11 +146,6 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 func (n *Network) build() {
 	topo := n.Topo
 	prof := &n.Prof
-	n.slotBase = topology.LinkSlotBase(topo)
-	n.slotOptical = make([]bool, n.slotBase[topo.Switches()])
-	for slot := range n.slotOptical {
-		_, n.slotOptical[slot] = topo.SlotLinks(slot)
-	}
 	// The outer cache spine is sized here so sharded domains fault rows
 	// concurrently without ever touching a shared lazy allocation.
 	n.minPaths = make([][][]topology.Path, topo.Switches())
@@ -169,13 +161,11 @@ func (n *Network) build() {
 	n.switches = make([]*Switch, len(switches))
 	for i := range switches {
 		rng := n.rng.Split()
-		first, _ := topo.SwitchNodes(topology.SwitchID(i))
 		switches[i] = Switch{
-			net:       n,
-			ID:        topology.SwitchID(i),
-			rng:       rng,
-			lat:       rosetta.NewLatencyModel(rng.Split()),
-			firstNode: int(first),
+			net: n,
+			ID:  topology.SwitchID(i),
+			rng: rng,
+			lat: rosetta.NewLatencyModel(rng.Split()),
 		}
 		n.switches[i] = &switches[i]
 	}
@@ -185,7 +175,7 @@ func (n *Network) build() {
 		nics[i] = NIC{
 			net: n,
 			ID:  topology.NodeID(i),
-			cc:  prof.CC(),
+			cc:  congestion.NewController(prof.CC),
 		}
 		n.nics[i] = &nics[i]
 	}
@@ -209,12 +199,6 @@ func (n *Network) build() {
 	}
 }
 
-// slot returns the link slot of the directed hop from a to its neighbour
-// b (see slotBase).
-func (n *Network) slot(a, b topology.SwitchID) int32 {
-	return n.slotBase[a] + int32(n.Topo.NeighborIndex(a, b))
-}
-
 // ensurePorts builds the port plane unless it exists. A classic network
 // calls it from each packet-path entry point (a message entering the
 // fabric, ChoosePath, QueuedAtEdge, DegradeLinkLanes, RestoreLinkLanes),
@@ -226,13 +210,12 @@ func (n *Network) ensurePorts() {
 }
 
 // buildPorts builds the egress-port plane: the port table with each
-// port's class state, the switches' neighbour and edge port lists, the
-// NICs' injection ports, and each port's domain and background-load
-// slot. Class state, neighbour lists and port lists are each carved from
-// one backing array. The ports' frame-error streams split off the
-// network's RNG in port-table order, after every switch's stream, so a
-// plane built on first use draws the same streams as one built at
-// construction.
+// port's class state, the link-slot and edge port lists, the NICs'
+// injection ports, and each port's domain and background-load slot.
+// Class state and the slot lists are each carved from one backing
+// array. The ports' frame-error streams split off the network's RNG in
+// port-table order, after every switch's stream, so a plane built on
+// first use draws the same streams as one built at construction.
 func (n *Network) buildPorts() {
 	topo := n.Topo
 	prof := &n.Prof
@@ -240,67 +223,58 @@ func (n *Network) buildPorts() {
 	n.ports = make([]outPort, 2*len(links))
 	scheds := qos.NewPortSchedulers(n.QoS, len(n.ports))
 
-	// Each (switch, neighbour) slot's list gets exactly as much capacity
-	// as the slot has parallel links, so the appends below fill the lists
-	// in link order without growing them.
+	// Each slot's list gets exactly as much capacity as the slot has
+	// parallel links, so the appends below fill the lists in link order
+	// without growing them.
 	fabricPorts := 0
 	for _, l := range links {
 		if l.Kind != topology.EdgeLink {
 			fabricPorts += 2
 		}
 	}
-	lists := make([][]*outPort, n.slotBase[len(n.switches)])
+	n.slotPorts = make([][]*outPort, topo.SlotBase(topology.SwitchID(topo.Switches())))
 	backing := make([]*outPort, fabricPorts)
-	for slot := range lists {
+	for slot := range n.slotPorts {
 		w, _ := topo.SlotLinks(slot)
-		lists[slot], backing = backing[:0:w], backing[w:]
+		n.slotPorts[slot], backing = backing[:0:w], backing[w:]
 	}
-	edges := make([]*outPort, topo.Nodes())
-	for _, sw := range n.switches {
-		lo, hi := n.slotBase[sw.ID], n.slotBase[sw.ID+1]
-		sw.ports = lists[lo:hi:hi]
-		_, count := topo.SwitchNodes(sw.ID)
-		sw.edge = edges[sw.firstNode : sw.firstNode+count : sw.firstNode+count]
-	}
+	n.edgePorts = make([]*outPort, topo.Nodes())
 
 	for i, l := range links {
 		a, b := &n.ports[2*i], &n.ports[2*i+1]
+		prop := l.Kind.Propagation()
 		switch l.Kind {
 		case topology.EdgeLink:
 			sw := n.switches[l.A]
 			nic := n.nics[l.Node]
 			// Switch -> NIC; its background slot is the node's.
 			*a = outPort{
-				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
+				bits: prof.EdgeBits, prop: prop, mode: edgeMode,
 				peerNIC: nic, edge: true, bgIdx: int32(l.Node),
 			}
-			sw.edge[int(l.Node)-sw.firstNode] = a
+			n.edgePorts[l.Node] = a
 			// NIC -> switch (the injection port), credited against the
 			// switch's input buffer. It carries no background slot: the
 			// fluid engine's edge-up usage limits fluid rates in the
 			// solver, and the node's own packet injection queue must not
 			// double-count it.
 			*b = outPort{
-				bits: prof.EdgeBits, prop: phy.EdgeDelay(), mode: edgeMode,
+				bits: prof.EdgeBits, prop: prop, mode: edgeMode,
 				ownerNIC: nic, peerSw: sw, credits: prof.InputBufferBytes, bgIdx: -1,
 			}
 			nic.inj = b
 		case topology.LocalLink, topology.GlobalLink:
-			prop := phy.CopperDelay()
-			if l.Kind == topology.GlobalLink {
-				prop = phy.OpticalDelay()
-			}
-			ab, ba := n.slot(l.A, l.B), n.slot(l.B, l.A)
+			ab, ba := topo.Slot(l.A, l.B), topo.Slot(l.B, l.A)
 			*a = outPort{
 				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
-				peerSw: n.switches[l.B], credits: prof.InputBufferBytes, bgIdx: ab,
+				peerSw: n.switches[l.B], credits: prof.InputBufferBytes, bgIdx: int32(ab),
 			}
 			*b = outPort{
 				bits: prof.fabricBits(), prop: prop, mode: prof.FabricMode,
-				peerSw: n.switches[l.A], credits: prof.InputBufferBytes, bgIdx: ba,
+				peerSw: n.switches[l.A], credits: prof.InputBufferBytes, bgIdx: int32(ba),
 			}
-			lists[ab] = append(lists[ab], a)
-			lists[ba] = append(lists[ba], b)
+			n.slotPorts[ab] = append(n.slotPorts[ab], a)
+			n.slotPorts[ba] = append(n.slotPorts[ba], b)
 		}
 		// Port 2i transmits from switch A, port 2i+1 from switch B — or,
 		// on an edge link (A == B), from the NIC, which shares its
@@ -509,13 +483,12 @@ func (n *Network) revLatency(path topology.Path) sim.Time {
 }
 
 // propagation is the wire delay along path's switch-to-switch hops:
-// optical or copper per hop by the link kind, read off the link-slot
-// table (for the Dragonfly, the links between groups are the optical
-// ones).
+// optical or copper per hop by the link slot's global flag (for the
+// Dragonfly, the links between groups are the optical ones).
 func (n *Network) propagation(path topology.Path) sim.Time {
 	var d sim.Time
 	for i := 0; i+1 < len(path); i++ {
-		if n.slotOptical[n.slot(path[i], path[i+1])] {
+		if _, global := n.Topo.SlotLinks(n.Topo.Slot(path[i], path[i+1])); global {
 			d += phy.OpticalDelay()
 		} else {
 			d += phy.CopperDelay()
@@ -561,8 +534,7 @@ func (n *Network) RestoreLinkLanes(a, b topology.SwitchID) {
 // NIC — the quantity endpoint congestion control watches.
 func (n *Network) QueuedAtEdge(node topology.NodeID) int64 {
 	n.ensurePorts()
-	sw := n.switches[n.Topo.SwitchOf(node)]
-	o := sw.edgePort(node)
+	o := n.edgePorts[node]
 	return o.queuedBytes() + o.bgQueued()
 }
 

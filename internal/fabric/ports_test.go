@@ -38,10 +38,8 @@ func TestFlowFidelityBuildsNoPorts(t *testing.T) {
 	if n.ports != nil {
 		t.Fatal("flow-fidelity network built its port table")
 	}
-	for _, sw := range n.switches {
-		if sw.ports != nil || sw.edge != nil {
-			t.Fatalf("switch %d has port lists", sw.ID)
-		}
+	if n.slotPorts != nil || n.edgePorts != nil {
+		t.Fatal("flow-fidelity network built its port lists")
 	}
 	for _, nic := range n.nics {
 		if nic.inj != nil {

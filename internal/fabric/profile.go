@@ -43,11 +43,11 @@ type Profile struct {
 	// credits. Exhausting it stalls the upstream sender.
 	InputBufferBytes int64
 
-	// CC constructs each NIC's endpoint congestion controller
-	// (congestion.BuilderFor(kind) for a stock algorithm). The fabric
-	// reads the built controller's Hooks to decide whether switches emit
-	// endpoint back-pressure and/or mark ECN.
-	CC congestion.Builder
+	// CC is the endpoint congestion-control algorithm; the fabric builds
+	// each NIC its own controller of this kind and reads the controllers'
+	// Hooks to decide whether switches emit endpoint back-pressure and/or
+	// mark ECN.
+	CC congestion.Kind
 
 	// Routing is the network's source-switch routing policy
 	// (routing.SlingshotAdaptive{} for §II-C adaptive routing,
@@ -118,7 +118,7 @@ func SlingshotProfile() Profile {
 		EdgeBits:         100e9,
 		Taper:            1,
 		InputBufferBytes: rosetta.InputBufferBytes,
-		CC:               congestion.BuilderFor(congestion.Slingshot),
+		CC:               congestion.Slingshot,
 		Routing:          routing.SlingshotAdaptive{},
 		MinimalBias:      2,
 		RouteNoise:       0.1,
@@ -141,7 +141,7 @@ func AriesProfile() Profile {
 	p.FabricBits = 42e9 // ~5.25 GB/s Aries fabric link
 	p.EdgeBits = 82e9   // 81.6 Gb/s peak injection (§IV-A)
 	p.InputBufferBytes = rosetta.AriesInputBufferBytes
-	p.CC = congestion.BuilderFor(congestion.None)
+	p.CC = congestion.None
 	// Aries biases much less towards minimal paths and works from coarser
 	// congestion information, spreading heavy flows across the whole
 	// group (§IV-A; the mechanism that lets congestion trees reach
@@ -165,7 +165,7 @@ func FatTree100GProfile() Profile {
 	p.Name = "fattree-100g"
 	p.FabricBits = 100e9
 	p.EdgeBits = 100e9
-	p.CC = congestion.BuilderFor(congestion.ECNLike)
+	p.CC = congestion.ECNLike
 	// ECMP hashes flows over the equal-cost ups without congestion
 	// feedback: model it as minimal-only-ish spreading with coarse load
 	// information.

@@ -242,7 +242,7 @@ func TestDegradeLinkLanesNonAdjacent(t *testing.T) {
 	found := false
 	for a := 0; a < n.Topo.Switches() && !found; a++ {
 		for b := a + 1; b < n.Topo.Switches(); b++ {
-			if n.Topo.NeighborIndex(topology.SwitchID(a), topology.SwitchID(b)) < 0 {
+			if n.Topo.Slot(topology.SwitchID(a), topology.SwitchID(b)) < 0 {
 				pair = [2]topology.SwitchID{topology.SwitchID(a), topology.SwitchID(b)}
 				found = true
 				break

@@ -105,7 +105,7 @@ func TestShardedDomainLayout(t *testing.T) {
 		if s.dom.id != part.Of[s.ID] {
 			t.Fatalf("switch %d in domain %d, want %d", s.ID, s.dom.id, part.Of[s.ID])
 		}
-		for _, ports := range s.ports {
+		for _, ports := range n.slotPorts[n.Topo.SlotBase(s.ID):n.Topo.SlotBase(s.ID+1)] {
 			for _, o := range ports {
 				if o.dom != s.dom {
 					t.Fatalf("switch %d port towards %d in wrong domain", s.ID, o.peerSw.ID)

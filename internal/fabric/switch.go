@@ -15,36 +15,21 @@ type Switch struct {
 	ID  topology.SwitchID
 	rng *sim.RNG
 	lat *rosetta.LatencyModel
-	// ports[i] holds the (possibly parallel) egress ports towards the
-	// i-th adjacent switch, indexed by the topology's dense neighbor
-	// index (Topology.NeighborIndex) — resolved at build time so the
-	// per-hop forwarding path does zero map lookups.
-	ports [][]*outPort
-	// edge[i] is the egress port towards the i-th locally attached NIC
-	// (node ID minus firstNode; nodes are numbered switch-major).
-	edge      []*outPort
-	firstNode int
 	// inPort/outPort sampling for the traversal latency model: we don't
 	// track physical port numbers per packet, so traversals sample a
 	// uniformly random (in, out) pair — matching the measured Fig. 2
 	// distribution over many flows.
 }
 
-// portsTo returns the parallel egress ports towards an adjacent switch,
-// or nil when the switches are not adjacent (matching the old map
-// lookup's behaviour for callers like DegradeLinkLanes that probe
-// arbitrary pairs).
+// portsTo returns the parallel egress ports towards an adjacent switch
+// (its link slot's list), or nil when the switches are not adjacent, so
+// callers like DegradeLinkLanes may probe arbitrary pairs.
 func (s *Switch) portsTo(next topology.SwitchID) []*outPort {
-	i := s.net.Topo.NeighborIndex(s.ID, next)
-	if i < 0 {
+	slot := s.net.Topo.Slot(s.ID, next)
+	if slot < 0 {
 		return nil
 	}
-	return s.ports[i]
-}
-
-// edgePort returns the egress port towards a locally attached NIC.
-func (s *Switch) edgePort(n topology.NodeID) *outPort {
-	return s.edge[int(n)-s.firstNode]
+	return s.net.slotPorts[slot]
 }
 
 // Event handlers (closure-free dispatch): pointer aliases of Switch, with
@@ -91,7 +76,7 @@ func (s *Switch) forward(p *Packet) {
 	var o *outPort
 	if p.hop == len(p.Path)-1 {
 		// Final switch: egress to the destination NIC.
-		o = s.edgePort(p.Msg.Dst)
+		o = s.net.edgePorts[p.Msg.Dst]
 	} else {
 		next := p.Path[p.hop+1]
 		p.hop++

@@ -138,25 +138,24 @@ type pendingCB struct {
 
 // Engine advances a set of fluid flows over directed capacity segments.
 // One segment exists per directed switch-to-switch link slot
-// (topology.LinkSlotBase) — parallel links between a switch pair pool
-// into one segment, matching the packet engine's round-robin port
-// spreading — plus one per node for each edge-link direction.
+// (Topology.Slot) — parallel links between a switch pair pool into one
+// segment, matching the packet engine's round-robin port spreading —
+// plus one per node for each edge-link direction.
 type Engine struct {
 	topo  topology.Topology
 	Hooks Hooks
 
 	// Segment ids, fixed at construction: the fabric segments are the link
-	// slots (switch s's start at slotBase[s]), then come every node's
-	// edge-up segment from edgeUp and every node's edge-down segment from
-	// edgeDn, both indexed by node id. segIdx[id] is the id's record in
-	// segs plus one, or 0 while no flow has crossed the segment; records
-	// are appended on first crossing and never removed.
-	caps     Caps
-	slotBase []int32
-	edgeUp   int32
-	edgeDn   int32
-	segIdx   []int32
-	segs     []segment
+	// slots (Topology.Slot), then come every node's edge-up segment from
+	// edgeUp and every node's edge-down segment from edgeDn, both indexed
+	// by node id. segIdx[id] is the id's record in segs plus one, or 0
+	// while no flow has crossed the segment; records are appended on
+	// first crossing and never removed.
+	caps   Caps
+	edgeUp int32
+	edgeDn int32
+	segIdx []int32
+	segs   []segment
 
 	// paths caches minimal-path candidates keyed by (src switch << 32 |
 	// dst switch). A map (lookups only, never iterated — determinism is
@@ -230,11 +229,10 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 	e := &Engine{topo: topo, caps: caps, dirtyGen: 1, minProj: sim.Forever}
 	e.paths = make(map[int64][]topology.Path)
 	nodes := topo.Nodes()
-	e.slotBase = topology.LinkSlotBase(topo)
-	base := e.slotBase[topo.Switches()]
-	e.edgeUp = base
-	e.edgeDn = base + int32(nodes)
-	e.segIdx = make([]int32, int(base)+2*nodes)
+	slots := topo.SlotBase(topology.SwitchID(topo.Switches()))
+	e.edgeUp = int32(slots)
+	e.edgeDn = int32(slots + nodes)
+	e.segIdx = make([]int32, slots+2*nodes)
 	e.activeTo = make([]int32, nodes)
 	return e
 }
@@ -303,16 +301,11 @@ func (e *Engine) Solves() int64 { return e.solves }
 func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 
 // SegmentRate returns the solver-allocated bits/s on the fabric segment
-// of a directed link slot (topology.LinkSlotBase), and the segment's
-// capacity. Valid after the last Advance/Start (the solver runs lazily;
-// call Resolve first if rates must be fresh).
+// of a link slot (Topology.Slot), and the segment's capacity. Valid
+// after the last Advance/Start (the solver runs lazily; call Resolve
+// first if rates must be fresh).
 func (e *Engine) SegmentRate(slot int) (rate, cap float64) {
 	return e.rateOf(int32(slot))
-}
-
-// segOf returns the fabric segment of the directed link a->b.
-func (e *Engine) segOf(a, b topology.SwitchID) int32 {
-	return e.slotBase[a] + int32(e.topo.NeighborIndex(a, b))
 }
 
 // EdgeDownRate returns allocated bits/s and capacity on the switch->node
@@ -417,7 +410,7 @@ func (e *Engine) buildSegs(f *Flow) {
 	if a != b {
 		p := e.choosePath(a, b)
 		for i := 0; i+1 < len(p); i++ {
-			f.segs = append(f.segs, e.record(e.segOf(p[i], p[i+1])))
+			f.segs = append(f.segs, e.record(int32(e.topo.Slot(p[i], p[i+1]))))
 		}
 	}
 	f.segs = append(f.segs, e.record(e.edgeDn+int32(f.dst)))
@@ -433,7 +426,7 @@ func (e *Engine) choosePath(a, b topology.SwitchID) topology.Path {
 	for ci, p := range cands {
 		var mx, sum int32
 		for i := 0; i+1 < len(p); i++ {
-			n := e.flowsOn(e.segOf(p[i], p[i+1]))
+			n := e.flowsOn(int32(e.topo.Slot(p[i], p[i+1])))
 			if n > mx {
 				mx = n
 			}

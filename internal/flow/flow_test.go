@@ -288,8 +288,8 @@ func TestPathChoiceSpreads(t *testing.T) {
 	// Count distinct fabric first-hop segments in use from src's switch.
 	sw := e.topo.SwitchOf(src)
 	used := 0
-	for i := 0; i < e.topo.NeighborCount(sw); i++ {
-		if e.flowsOn(e.slotBase[sw]+int32(i)) > 0 {
+	for slot := e.topo.SlotBase(sw); slot < e.topo.SlotBase(sw+1); slot++ {
+		if e.flowsOn(int32(slot)) > 0 {
 			used++
 		}
 	}
@@ -310,8 +310,8 @@ func eagerCaps(e *Engine) []float64 {
 			caps[e.edgeUp+int32(lk.Node)] = e.caps.EdgeBits
 			caps[e.edgeDn+int32(lk.Node)] = e.caps.EdgeBits
 		case topology.LocalLink, topology.GlobalLink:
-			caps[e.segOf(lk.A, lk.B)] += e.caps.FabricBits
-			caps[e.segOf(lk.B, lk.A)] += e.caps.FabricBits
+			caps[e.topo.Slot(lk.A, lk.B)] += e.caps.FabricBits
+			caps[e.topo.Slot(lk.B, lk.A)] += e.caps.FabricBits
 		}
 	}
 	return caps

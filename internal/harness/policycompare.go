@@ -54,11 +54,11 @@ func policySystem(topoName, routingName, ccName string, machineNodes int) (Syste
 		return System{}, err
 	}
 	sys.Prof.Routing = rp
-	cb, err := congestion.ByName(ccName)
+	cc, err := congestion.ByName(ccName)
 	if err != nil {
 		return System{}, err
 	}
-	sys.Prof.CC = cb
+	sys.Prof.CC = cc
 	return sys, nil
 }
 

@@ -103,11 +103,11 @@ func TestDelayCCProtectsVictims(t *testing.T) {
 	}
 	impact := func(cc string) float64 {
 		sys := Crystal(72)
-		b, err := congestion.ByName(cc)
+		k, err := congestion.ByName(cc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Prof.CC = b
+		sys.Prof.CC = k
 		r := RunCell(CellSpec{
 			Sys: sys, TotalNodes: 48, VictimFrac: 0.5,
 			Aggressor: IncastAggressor, AggrPPN: 1,

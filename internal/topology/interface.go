@@ -13,10 +13,13 @@ import "repro/internal/sim"
 //     0..Nodes()-1, so consumers can slice-index per-switch and per-node
 //     state. Nodes are numbered switch-major: all of one switch's nodes are
 //     contiguous and switch order follows node order.
-//   - Dense adjacency: NeighborIndex(a, b) is a stable index into a's
-//     neighbor list (the order Neighbors reports) for the lifetime of the
-//     topology, or -1 when not adjacent. The routing hot path does zero map
-//     lookups per hop.
+//   - Link slots: Slot(a, b) numbers the directed switch-to-switch links
+//     densely, switch by switch in Neighbors order (switch a's slots run
+//     from SlotBase(a) to SlotBase(a+1)-1, and SlotBase(Switches()) is
+//     the slot count), or is -1 when a and b are not adjacent. The
+//     numbering is fixed for the lifetime of the topology, so every
+//     per-link table indexes by it, and the routing hot path does zero
+//     map lookups per hop.
 //   - Arena reuse: NonMinimalPaths builds its candidates in the caller's
 //     PathArena, which the next call on that arena overwrites. Callers
 //     must copy any path they retain past their routing decision; the
@@ -39,14 +42,14 @@ type Topology interface {
 	// (count is 0 for switches without endpoints, e.g. fat-tree spines).
 	SwitchNodes(SwitchID) (first NodeID, count int)
 
-	// Dense adjacency.
-	NeighborIndex(a, b SwitchID) int
-	NeighborCount(SwitchID) int
+	// Dense adjacency and link slots.
 	Neighbors(SwitchID) []SwitchID
-	// SlotLinks reports, for a directed link slot (see LinkSlotBase), how
-	// many parallel links join the switch to that neighbour and whether
-	// any of them is a GlobalLink. The facts are built with the adjacency,
-	// so per-slot tables need no pass over Links().
+	Slot(a, b SwitchID) int
+	SlotBase(SwitchID) int
+	// SlotLinks reports, for a link slot, how many parallel links join
+	// the switch to that neighbour and whether any of them is a
+	// GlobalLink. The facts are built with the adjacency, so per-slot
+	// tables need no pass over Links().
 	SlotLinks(slot int) (links int, global bool)
 
 	// Routing candidates. NonMinimalPaths builds in the caller's arena.
@@ -86,19 +89,6 @@ func MustBuild(b Builder) Topology {
 // pair.
 const RouteCandidates = 4
 
-// LinkSlotBase numbers t's directed switch-to-switch links densely,
-// switch by switch in NeighborIndex order: the link from a to its
-// neighbor b has slot base[a] + NeighborIndex(a, b), and base[Switches()]
-// is the number of slots. Per-link tables (the fabric's load snapshot and
-// background load, the fluid engine's segments) all index by it.
-func LinkSlotBase(t Topology) []int32 {
-	base := make([]int32, t.Switches()+1)
-	for s := 0; s < t.Switches(); s++ {
-		base[s+1] = base[s] + int32(t.NeighborCount(SwitchID(s)))
-	}
-	return base
-}
-
 // adjacency is the slice-indexed neighbor structure shared by every
 // backend (no maps — the routing hot path queries it per hop): adj[s]
 // lists s's neighbor switches in link-discovery order, and adjIndex[s][t]
@@ -116,8 +106,9 @@ type adjacency struct {
 	adjIndex [][]int32
 	nbSorted [][]SwitchID
 	nbSlot   [][]int32
-	// slots[k] holds the facts of directed link slot k (LinkSlotBase
-	// numbering).
+	// base[s] is switch s's first link slot and base[sw] the slot count;
+	// slots[k] holds the facts of link slot k.
+	base  []int32
 	slots []slotFacts
 	// diam caches the BFS diameter (-1 until first asked for).
 	diam int
@@ -141,7 +132,8 @@ const denseAdjSwitches = 2048
 // from one backing array per table with room for one neighbour per link
 // end, so no row regrows; the adjIndex rows likewise share one backing
 // slice. The slot facts are counted at the same link-end offsets and then
-// packed down to the dense slot numbering.
+// packed down to the dense slot numbering, and the offsets table is
+// rewritten in place into the slot bases.
 func (m *adjacency) initAdjacency(sw int, links []Link) {
 	m.sw = sw
 	m.diam = -1
@@ -183,15 +175,19 @@ func (m *adjacency) initAdjacency(sw int, links []Link) {
 			f.global = f.global || l.Kind == GlobalLink
 		}
 	}
-	// Pack each switch's facts down to its dense slots. A switch's dense
+	// Pack each switch's facts down to its dense slots. A switch's slot
 	// base never exceeds its link-end offset, so the copy only moves
-	// entries left over ones already packed.
+	// entries left over ones already packed, and overwriting ends[s]
+	// with the base leaves ends[s+1] for the next switch to read.
 	next := int32(0)
 	for s := 0; s < sw; s++ {
 		k := int32(len(m.adj[s]))
 		copy(m.slots[next:next+k], m.slots[ends[s]:ends[s]+k])
+		ends[s] = next
 		next += k
 	}
+	ends[sw] = next
+	m.base = ends
 	m.slots = m.slots[:next]
 }
 
@@ -262,27 +258,30 @@ func (m *adjacency) localAdjacent(a, b SwitchID) bool {
 // Switches returns the switch count.
 func (m *adjacency) Switches() int { return m.sw }
 
-// NeighborIndex returns b's dense index in a's neighbor list (the order
-// Neighbors reports), or -1 when the switches are not adjacent. The index
-// is stable for the lifetime of the topology, so per-switch runtime state
-// (e.g. fabric egress-port tables) can be slice-indexed by it — the
-// routing hot path does zero map lookups per hop.
-func (m *adjacency) NeighborIndex(a, b SwitchID) int {
-	return int(m.lookup(a, b))
+// Slot returns the link slot of the directed hop from a to its
+// neighbour b: a's slot base plus b's index in a's neighbour list (the
+// order Neighbors reports), or -1 when the switches are not adjacent.
+func (m *adjacency) Slot(a, b SwitchID) int {
+	i := m.lookup(a, b)
+	if i < 0 {
+		return -1
+	}
+	return int(m.base[a] + i)
 }
 
-// NeighborCount returns the number of switches adjacent to s.
-func (m *adjacency) NeighborCount(s SwitchID) int { return len(m.adj[s]) }
+// SlotBase returns switch s's first link slot; SlotBase(Switches()) is
+// the slot count.
+func (m *adjacency) SlotBase(s SwitchID) int { return int(m.base[s]) }
 
-// SlotLinks returns the parallel-link count and global flag of a directed
-// link slot (LinkSlotBase numbering).
+// SlotLinks returns the parallel-link count and global flag of a link
+// slot.
 func (m *adjacency) SlotLinks(slot int) (links int, global bool) {
 	f := m.slots[slot]
 	return int(f.links), f.global
 }
 
 // Neighbors returns the switches adjacent to s, in deterministic
-// link-discovery order (the same order NeighborIndex indexes).
+// link-discovery order (the order of s's link slots).
 func (m *adjacency) Neighbors(s SwitchID) []SwitchID {
 	out := make([]SwitchID, len(m.adj[s]))
 	copy(out, m.adj[s])

@@ -39,17 +39,6 @@ type Partition struct {
 	MinCutLatency sim.Time
 }
 
-// kindLatency is the propagation latency fabric assigns a link kind.
-func kindLatency(k LinkKind) sim.Time {
-	switch k {
-	case EdgeLink:
-		return phy.EdgeDelay()
-	case LocalLink:
-		return phy.CopperDelay()
-	}
-	return phy.OpticalDelay()
-}
-
 // finishPartition derives the cut and its latency bound from the
 // per-switch unit assignment.
 func finishPartition(links []Link, of []int, units int) Partition {
@@ -60,7 +49,7 @@ func finishPartition(links []Link, of []int, units int) Partition {
 			continue
 		}
 		p.Cut = append(p.Cut, l.ID)
-		if lat := kindLatency(l.Kind); first || lat < p.MinCutLatency {
+		if lat := l.Kind.Propagation(); first || lat < p.MinCutLatency {
 			p.MinCutLatency = lat
 			first = false
 		}

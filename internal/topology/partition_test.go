@@ -42,7 +42,7 @@ func checkPartition(t *testing.T, topo Topology, p Partition, wantDomains int) {
 				l.ID, l.Kind, l.A, l.B, inCut[l.ID], cross)
 		}
 		if cross {
-			if lat := kindLatency(l.Kind); lat < min {
+			if lat := l.Kind.Propagation(); lat < min {
 				t.Fatalf("cut link %d has latency %v below MinCutLatency %v", l.ID, lat, min)
 			} else if lat == min {
 				first = false

@@ -30,28 +30,6 @@ func (d *Dragonfly) intraPaths(a, b SwitchID) []Path {
 	return []Path{{a, m1, b}, {a, m2, b}}
 }
 
-// compose concatenates path segments, merging equal junction switches. It
-// returns nil if the result revisits a switch (the caller filters).
-// Paths are at most a handful of switches, so the revisit check is a
-// linear scan rather than a map (this runs per routing decision).
-func (d *Dragonfly) compose(segs ...Path) Path {
-	var out Path
-	for _, seg := range segs {
-		for i, s := range seg {
-			if len(out) > 0 && i == 0 && out[len(out)-1] == s {
-				continue // shared junction
-			}
-			for _, prev := range out {
-				if prev == s {
-					return nil
-				}
-			}
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // MinimalPaths enumerates up to max minimal paths between the given
 // switches. Within a group the candidates are the intra-group minimal
 // paths (1 hop on a full mesh; up to 2 hops through shared intermediate
@@ -59,6 +37,9 @@ func (d *Dragonfly) compose(segs ...Path) Path {
 // exactly one global link between the two groups, with minimal intra-group
 // segments to and from the gateways; one candidate is produced per global
 // link (these are the distinct minimal routes adaptive routing can weigh).
+// The candidates are composed in an arena local to the call; each kept
+// path is a capacity-capped window of it that later compositions never
+// overwrite, so callers may cache the result.
 func (d *Dragonfly) MinimalPaths(src, dst SwitchID, max int) []Path {
 	if max <= 0 {
 		max = RouteCandidates
@@ -74,6 +55,7 @@ func (d *Dragonfly) MinimalPaths(src, dst SwitchID, max int) []Path {
 		}
 		return ps
 	}
+	var ar PathArena
 	var out []Path
 	for _, id := range d.globalOut[gs][gd] {
 		l := d.links[id]
@@ -83,7 +65,7 @@ func (d *Dragonfly) MinimalPaths(src, dst SwitchID, max int) []Path {
 		}
 		for _, p1 := range d.intraPaths(src, a) {
 			for _, p2 := range d.intraPaths(b, dst) {
-				if p := d.compose(p1, Path{a, b}, p2); p != nil {
+				if p := ar.arenaCompose(p1, Path{a, b}, p2); p != nil {
 					out = append(out, p)
 					if len(out) >= max {
 						return out
@@ -107,7 +89,7 @@ func (d *Dragonfly) MinimalPaths(src, dst SwitchID, max int) []Path {
 			}
 			for _, p1 := range d.intraPaths(src, a) {
 				for _, p2 := range d.intraPaths(b, dst) {
-					if p := d.compose(p1, Path{a, b}, p2); p != nil {
+					if p := ar.arenaCompose(p1, Path{a, b}, p2); p != nil {
 						return []Path{p}
 					}
 				}

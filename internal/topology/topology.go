@@ -9,6 +9,9 @@ package topology
 
 import (
 	"fmt"
+
+	"repro/internal/phy"
+	"repro/internal/sim"
 )
 
 // SwitchID identifies a switch, numbered group-major:
@@ -44,6 +47,18 @@ func (k LinkKind) String() string {
 		return "global"
 	}
 	return "unknown"
+}
+
+// Propagation is the cable delay of a link of this kind: the edge copper
+// run, a copper local link, or an optical global link.
+func (k LinkKind) Propagation() sim.Time {
+	switch k {
+	case EdgeLink:
+		return phy.EdgeDelay()
+	case LocalLink:
+		return phy.CopperDelay()
+	}
+	return phy.OpticalDelay()
 }
 
 // Link is one bidirectional cable between two switches (or between a node

@@ -404,45 +404,57 @@ func TestValidRejects(t *testing.T) {
 	}
 }
 
-// TestLinkSlotBase pins the directed-link numbering every per-link table
-// indexes by, on all three backends: the rows of consecutive switches
-// tile 0..n-1 with one slot per neighbor, every slot names exactly one
-// directed switch-to-switch link, and its offset within its switch's row
-// is that link's NeighborIndex.
-func TestLinkSlotBase(t *testing.T) {
-	for _, topo := range []Topology{small(), smallFT(), smallHX()} {
+// TestSlot pins the directed-link numbering every per-link table indexes
+// by, on all three backends and on a Dragonfly above denseAdjSwitches,
+// where lookups take the sorted-row path: the rows of consecutive
+// switches tile 0..n-1 with one slot per neighbor, every slot names
+// exactly one directed switch-to-switch link, its offset within its
+// switch's row is the neighbor's position in Neighbors, and Slot is -1
+// for a switch paired with itself and for every non-adjacent pair.
+func TestSlot(t *testing.T) {
+	topos := []Topology{
+		small(), smallFT(), smallHX(),
+		MustNew(Config{Groups: 65, SwitchesPerGroup: 32, NodesPerSwitch: 1, GlobalPerPair: 1}),
+	}
+	for _, topo := range topos {
 		sw := topo.Switches()
-		base := LinkSlotBase(topo)
-		if len(base) != sw+1 {
-			t.Fatalf("%s: %d bases for %d switches", topo.Kind(), len(base), sw)
-		}
 		next := 0
 		for a := 0; a < sw; a++ {
-			if int(base[a]) != next {
-				t.Fatalf("%s: switch %d starts at slot %d, want %d", topo.Kind(), a, base[a], next)
+			if got := topo.SlotBase(SwitchID(a)); got != next {
+				t.Fatalf("%s: switch %d starts at slot %d, want %d", topo.Kind(), a, got, next)
 			}
-			next += topo.NeighborCount(SwitchID(a))
+			next += len(topo.Neighbors(SwitchID(a)))
 		}
-		if int(base[sw]) != next {
-			t.Fatalf("%s: %d slots, want %d", topo.Kind(), base[sw], next)
+		if got := topo.SlotBase(SwitchID(sw)); got != next {
+			t.Fatalf("%s: %d slots, want %d", topo.Kind(), got, next)
 		}
-		owner := make(map[[2]SwitchID]int32, next)
-		a := 0
-		for slot := int32(0); slot < base[sw]; slot++ {
-			for slot >= base[a+1] {
-				a++
+		owner := make(map[[2]SwitchID]int, next)
+		adjacent := make([]bool, sw)
+		for a := 0; a < sw; a++ {
+			clear(adjacent)
+			for i, b := range topo.Neighbors(SwitchID(a)) {
+				slot := topo.SlotBase(SwitchID(a)) + i
+				if got := topo.Slot(SwitchID(a), b); got != slot {
+					t.Fatalf("%s: slot %d is %d->%d at offset %d, but Slot = %d",
+						topo.Kind(), slot, a, b, i, got)
+				}
+				key := [2]SwitchID{SwitchID(a), b}
+				if prev, dup := owner[key]; dup {
+					t.Fatalf("%s: link %d->%d has slots %d and %d", topo.Kind(), a, b, prev, slot)
+				}
+				owner[key] = slot
+				adjacent[b] = true
 			}
-			i := int(slot - base[a])
-			b := topo.Neighbors(SwitchID(a))[i]
-			if got := topo.NeighborIndex(SwitchID(a), b); got != i {
-				t.Fatalf("%s: slot %d is %d->%d at offset %d, but NeighborIndex = %d",
-					topo.Kind(), slot, a, b, i, got)
+			for b := 0; b < sw; b++ {
+				if !adjacent[b] {
+					if got := topo.Slot(SwitchID(a), SwitchID(b)); got != -1 {
+						t.Fatalf("%s: non-adjacent %d->%d has slot %d, want -1", topo.Kind(), a, b, got)
+					}
+				}
 			}
-			key := [2]SwitchID{SwitchID(a), b}
-			if prev, dup := owner[key]; dup {
-				t.Fatalf("%s: link %d->%d has slots %d and %d", topo.Kind(), a, b, prev, slot)
+			if adjacent[a] {
+				t.Fatalf("%s: switch %d lists itself as a neighbor", topo.Kind(), a)
 			}
-			owner[key] = slot
 		}
 		for _, l := range topo.Links() {
 			if l.Kind == EdgeLink {
@@ -474,15 +486,14 @@ func TestSlotLinks(t *testing.T) {
 	}
 	for _, c := range cases {
 		topo := c.topo
-		base := LinkSlotBase(topo)
-		links := make([]int, base[topo.Switches()])
+		links := make([]int, topo.SlotBase(SwitchID(topo.Switches())))
 		global := make([]bool, len(links))
 		for _, l := range topo.Links() {
 			if l.Kind == EdgeLink {
 				continue
 			}
 			for _, d := range [][2]SwitchID{{l.A, l.B}, {l.B, l.A}} {
-				slot := base[d[0]] + int32(topo.NeighborIndex(d[0], d[1]))
+				slot := topo.Slot(d[0], d[1])
 				links[slot]++
 				global[slot] = global[slot] || l.Kind == GlobalLink
 			}
